@@ -38,6 +38,7 @@ SPEEDUP_BARS = {
     "reach-bench-pr5-v1": 1.3,
     "reach-bench-pr8-v1": 3.0,
     "reach-bench-pr9-v1": 1.3,
+    "reach-bench-pr12-v1": 1.5,
 }
 
 DISK_CACHE_LINE = re.compile(r"(\d+) disk hit\(s\), (\d+) disk miss\(es\)")
@@ -607,6 +608,13 @@ def selftest():
     bad = dict(good_record, schema="reach-bench-pr9-v1",
                after={"wall_s": 0.24}, speedup=1.25)
     rejects(validate_bench, bad, "pr9 speedup below the 1.3x bar")
+
+    validate_bench({"schema": "reach-bench-pr12-v1",
+                    "before": {"wall_s": 5.0}, "after": {"wall_s": 2.0},
+                    "speedup": 2.5})
+    bad = dict(good_record, schema="reach-bench-pr12-v1",
+               after={"wall_s": 0.24}, speedup=1.25)
+    rejects(validate_bench, bad, "pr12 speedup below the 1.5x bar")
 
     good_simd = SIMD_SUITE_HEADER + "\n  Feature extraction  552 MB\nFIG 8.\n"
     validate_simd([("off_j1", good_simd), ("auto_j1", good_simd),

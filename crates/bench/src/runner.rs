@@ -367,24 +367,28 @@ impl ScenarioExecutor for ScenarioRunner {
             Replay(RunReport),
         }
 
-        // Sequential resolution, fleet by fleet.
+        // Sequential resolution, fleet by fleet. With the cache off no
+        // fleet is fingerprinted at all.
         let slots: Vec<FleetSlot> = fleets
             .iter()
-            .map(|fleet| match (&self.cache, fleet.config_fingerprint()) {
-                (Some(cache), Some(fp)) => {
-                    if let Some(report) = cache.get(&fp) {
-                        self.fleet_hits.fetch_add(1, Ordering::Relaxed);
-                        FleetSlot::Replay(report)
-                    } else if let Some(report) = self.disk_lookup(fp) {
-                        self.fleet_hits.fetch_add(1, Ordering::Relaxed);
-                        cache.insert(fp, report.clone());
-                        FleetSlot::Replay(report)
-                    } else {
-                        self.fleet_misses.fetch_add(1, Ordering::Relaxed);
-                        FleetSlot::Expand(Some(fp))
-                    }
+            .map(|fleet| {
+                let Some(cache) = &self.cache else {
+                    return FleetSlot::Expand(None);
+                };
+                let Some(fp) = fleet.config_fingerprint() else {
+                    return FleetSlot::Expand(None);
+                };
+                if let Some(report) = cache.get(&fp) {
+                    self.fleet_hits.fetch_add(1, Ordering::Relaxed);
+                    FleetSlot::Replay(report)
+                } else if let Some(report) = self.disk_lookup(fp) {
+                    self.fleet_hits.fetch_add(1, Ordering::Relaxed);
+                    cache.insert(fp, report.clone());
+                    FleetSlot::Replay(report)
+                } else {
+                    self.fleet_misses.fetch_add(1, Ordering::Relaxed);
+                    FleetSlot::Expand(Some(fp))
                 }
-                _ => FleetSlot::Expand(None),
             })
             .collect();
 
@@ -708,5 +712,58 @@ mod tests {
         let _ = runner.run_all(batch());
         assert!(!runner.cache_enabled());
         assert_eq!(runner.cache_stats(), crate::cache::CacheStats::default());
+    }
+
+    /// A CBIR fleet that counts its fingerprint requests.
+    struct CountedFleet {
+        inner: reach_cbir::fleet::CbirFleetScenario,
+        fingerprints: Arc<AtomicUsize>,
+    }
+
+    impl FleetScenario for CountedFleet {
+        fn label(&self) -> String {
+            self.inner.label()
+        }
+
+        fn fleet(&self) -> reach::fleet::FleetBlueprint {
+            self.inner.fleet()
+        }
+
+        fn shard_scenario(&self, shard: usize) -> Box<dyn Scenario> {
+            self.inner.shard_scenario(shard)
+        }
+
+        fn aggregate(&self, shard_reports: Vec<RunReport>) -> RunReport {
+            self.inner.aggregate(shard_reports)
+        }
+
+        fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
+            self.fingerprints.fetch_add(1, Ordering::Relaxed);
+            self.inner.config_fingerprint()
+        }
+    }
+
+    #[test]
+    fn uncached_fleets_are_never_fingerprinted() {
+        let fingerprints = Arc::new(AtomicUsize::new(0));
+        let fleets = || -> Vec<Box<dyn FleetScenario>> {
+            vec![Box::new(CountedFleet {
+                inner: reach_cbir::fleet::CbirFleetScenario::sharded(
+                    2,
+                    reach::fleet::ShardPlacement::NearStorage,
+                    1,
+                ),
+                fingerprints: Arc::clone(&fingerprints),
+            })]
+        };
+        let uncached = ScenarioRunner::without_cache(1);
+        let _ = uncached.run_fleets(fleets());
+        assert_eq!(fingerprints.load(Ordering::Relaxed), 0);
+        assert_eq!(uncached.fleet_cache_stats(), CacheStats::default());
+
+        let cached = ScenarioRunner::new(1);
+        let _ = cached.run_fleets(fleets());
+        assert_eq!(fingerprints.load(Ordering::Relaxed), 1);
+        assert_eq!(cached.fleet_cache_stats().misses, 1);
     }
 }

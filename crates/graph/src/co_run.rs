@@ -17,12 +17,13 @@
 //! depth, so the ledgers line up row for row.
 
 use crate::csr::{GraphKind, GraphSpec};
-use crate::pipeline::{graph_pipeline, GraphPlacement, GraphRun, GraphWorkload};
+use crate::pipeline::{lower, GraphPlacement, WorkloadShape};
 use crate::templates::graph_registry;
 use reach::fingerprint::ConfigFingerprint;
 use reach::traffic::ArrivalProcess;
 use reach::{
-    FnScenario, MachineBlueprint, MetricValue, RunReport, Scenario, ScenarioExecutor, SystemConfig,
+    FnScenario, MachineBlueprint, MetricValue, Pipeline, RunReport, Scenario, ScenarioExecutor,
+    SystemConfig,
 };
 use reach_cbir::pipeline::CbirStage;
 use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
@@ -66,12 +67,23 @@ fn corun_graph_spec() -> GraphSpec {
     }
 }
 
-fn corun_graph_run() -> GraphRun {
-    graph_pipeline(
-        &corun_graph_spec(),
-        GraphWorkload::Pagerank,
+/// The graph tenant's near-memory PageRank pipeline, lowered from the
+/// spec's node and edge counts: no graph is built and no host PageRank
+/// runs, because the lowering never reads the residuals. Byte-identical to
+/// [`crate::pipeline::graph_pipeline`] on the same spec (pinned by the
+/// tests below and the crate's property tests).
+fn corun_graph_pipeline() -> Pipeline {
+    let spec = corun_graph_spec();
+    let shape = WorkloadShape::Pagerank {
+        residuals: Vec::new(),
+    };
+    lower(
+        spec.node_count(),
+        spec.edge_count(),
+        &shape,
         GraphPlacement::NearMemory,
     )
+    .pipeline
 }
 
 /// The co-run machine: the paper shape widened to 4 near-memory and 4
@@ -181,10 +193,13 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
     // determined by the machine shape, the two compiled pipelines, the
     // arrival process (variant + parameters + embedded seed via the debug
     // rendering), the offered count, the admission depth, the graph batch
-    // schedule and the session seed. Over-keying the solo points with the
-    // graph pipeline costs nothing and can never under-key.
+    // schedule and the session seed. The solo points key on the graph
+    // pipeline too, though they never submit it: that over-keys them, so
+    // it can never under-key, and it is cheap because the pipeline is
+    // lowered once from counts and shared by every closure here.
     let cbir_compiled = cbir.compile(blueprint.config(), blueprint.registry(), &CbirStage::ALL);
-    let graph_fp = corun_graph_run().pipeline.fingerprint();
+    let graph = corun_graph_pipeline();
+    let graph_fp = graph.fingerprint();
     let vouch = |tag: &str, arrival: &ArrivalProcess| {
         let mut b = FingerprintBuilder::new("reach-graph-corun-v1");
         b.write_str(tag);
@@ -227,6 +242,7 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
 
         let corun_arrival = arrival.clone();
         let corun_cbir = cbir;
+        let graph = graph.clone();
         scenarios.push(Box::new(
             FnScenario::new(
                 format!("corun/{rate}qps/shared"),
@@ -235,7 +251,6 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
                     machine.declare_tenant("cbir", 0, GRAPH_JOB_BASE);
                     machine.declare_tenant("graph", GRAPH_JOB_BASE, 2 * GRAPH_JOB_BASE);
                     let compiled = corun_cbir.build(machine);
-                    let graph = corun_graph_run();
                     // The batch tenant submits its jobs at the query
                     // arrival instants (fully correlated phase): every
                     // serving point then measures interference by
@@ -250,7 +265,7 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
                         machine.submit_at_bounded(at, job, works, CORUN_QUEUE_DEPTH);
                         for g in 0..GRAPH_JOBS_PER_ARRIVAL {
                             let id = GRAPH_JOB_BASE + (i * GRAPH_JOBS_PER_ARRIVAL + g) as u64;
-                            let (job, works) = graph.pipeline.job_for_batch(id);
+                            let (job, works) = graph.job_for_batch(id);
                             machine.submit_at(at, job, works);
                         }
                     }
@@ -326,6 +341,21 @@ mod tests {
             assert_eq!(row.graph_jobs, CORUN_GRAPH_BATCHES as u64);
             assert!(row.cbir_dispatches > 0 && row.graph_dispatches > 0);
         }
+    }
+
+    #[test]
+    fn counts_only_tenant_matches_the_derived_pipeline() {
+        let derived = crate::pipeline::graph_pipeline(
+            &corun_graph_spec(),
+            crate::pipeline::GraphWorkload::Pagerank,
+            GraphPlacement::NearMemory,
+        );
+        let lowered = corun_graph_pipeline();
+        assert_eq!(lowered.fingerprint(), derived.pipeline.fingerprint());
+        let (job, works) = lowered.job_for_batch(GRAPH_JOB_BASE);
+        let (derived_job, derived_works) = derived.pipeline.job_for_batch(GRAPH_JOB_BASE);
+        assert_eq!(format!("{job:?}"), format!("{derived_job:?}"));
+        assert_eq!(works, derived_works);
     }
 
     #[test]

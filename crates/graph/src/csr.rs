@@ -72,6 +72,26 @@ impl GraphSpec {
         }
     }
 
+    /// Node count of the graph this spec builds, without building it.
+    #[must_use]
+    pub fn node_count(&self) -> u32 {
+        match self.kind {
+            GraphKind::Golden => GOLDEN_NODES,
+            _ => self.nodes,
+        }
+    }
+
+    /// Directed edge count of the graph this spec builds, without building
+    /// it: the generators draw exactly `nodes * avg_degree` edges and the
+    /// CSR keeps duplicates.
+    #[must_use]
+    pub fn edge_count(&self) -> u64 {
+        match self.kind {
+            GraphKind::Golden => GOLDEN_EDGES.len() as u64,
+            _ => u64::from(self.nodes) * u64::from(self.avg_degree),
+        }
+    }
+
     /// Stable label, e.g. `rmat/4096`.
     #[must_use]
     pub fn label(&self) -> String {
@@ -81,6 +101,22 @@ impl GraphSpec {
         }
     }
 }
+
+/// Node count of [`Graph::golden`].
+const GOLDEN_NODES: u32 = 8;
+
+/// Edge list of [`Graph::golden`]: a two-level tree plus a back edge and a
+/// cross edge.
+const GOLDEN_EDGES: [(u32, u32); 8] = [
+    (0, 1),
+    (0, 2),
+    (1, 3),
+    (1, 4),
+    (2, 5),
+    (5, 6),
+    (6, 2), // back edge
+    (3, 5), // cross edge
+];
 
 /// The generator's raw output: a directed edge list.
 fn uniform_edges(nodes: u32, avg_degree: u32, seed: u64) -> Vec<(u32, u32)> {
@@ -208,19 +244,7 @@ impl Graph {
     /// `[0, 1, 1, 2, 2, 2, 3, unreachable]`.
     #[must_use]
     pub fn golden() -> Self {
-        Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (0, 2),
-                (1, 3),
-                (1, 4),
-                (2, 5),
-                (5, 6),
-                (6, 2), // back edge
-                (3, 5), // cross edge
-            ],
-        )
+        Graph::from_edges(GOLDEN_NODES, &GOLDEN_EDGES)
     }
 
     /// Node count.
@@ -318,6 +342,21 @@ mod tests {
             }
             .build();
             assert_eq!(g.edge_count(), 512 * 8, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn spec_counts_match_the_built_graph() {
+        for kind in [GraphKind::Uniform, GraphKind::Rmat, GraphKind::Golden] {
+            let spec = GraphSpec {
+                nodes: 300,
+                avg_degree: 3,
+                kind,
+                seed: 11,
+            };
+            let g = spec.build();
+            assert_eq!(spec.node_count(), g.node_count(), "{kind:?}");
+            assert_eq!(spec.edge_count(), g.edge_count(), "{kind:?}");
         }
     }
 

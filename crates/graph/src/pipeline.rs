@@ -5,8 +5,16 @@
 //! iteration, chained through rank-vector streams. The work descriptor of
 //! each task comes from the *actual* host-side traversal
 //! ([`crate::algo`]): the edges each frontier scanned, the rank entries
-//! each iteration touched. Placement decides the access shape the
-//! simulator prices:
+//! each iteration touched.
+//!
+//! Building a pipeline is two steps. [`derive_shape`] is the host-side work:
+//! build the graph, traverse it, summarise the shape. [`lower`] is pure:
+//! it turns node and edge counts plus that shape into the pipeline one
+//! placement runs, so one derivation serves every placement. A
+//! fixed-iteration PageRank touches every edge on every iteration, so its
+//! pipeline depends on the counts alone and needs no derivation at all.
+//!
+//! Placement decides the access shape the simulator prices:
 //!
 //! * **DRAM levels (on-chip, near-memory)** — `Gather` in 64-byte lines:
 //!   per-frontier irregular row activations (the near-memory path batches
@@ -18,7 +26,7 @@
 //!   catastrophically worse than a full rescan.
 
 use crate::algo::{bfs_levels, pagerank, BfsResult, PAGERANK_DAMPING};
-use crate::csr::{Graph, GraphSpec};
+use crate::csr::GraphSpec;
 use crate::templates::graph_registry;
 use reach::{Level, Pipeline, ReachConfig, StreamType, TaskWork};
 
@@ -147,69 +155,74 @@ pub struct GraphRun {
 }
 
 /// CSR footprint in bytes: the row-pointer array plus the column array.
-fn csr_bytes(g: &Graph) -> u64 {
-    4 * (u64::from(g.node_count()) + 1) + 4 * g.edge_count()
+fn csr_bytes(nodes: u32, edges: u64) -> u64 {
+    4 * (u64::from(nodes) + 1) + 4 * edges
 }
 
-/// Builds the pipeline for `workload` on `spec`'s graph at `placement`.
+/// The host-side derivation: builds `spec`'s graph and runs `workload` on
+/// it. Returns the graph's node count, edge count and traversal shape —
+/// everything [`lower`] prices a placement from.
 ///
 /// # Panics
 ///
 /// Panics if the spec is degenerate (see [`GraphSpec::build`]).
 #[must_use]
-pub fn graph_pipeline(
-    spec: &GraphSpec,
-    workload: GraphWorkload,
-    placement: GraphPlacement,
-) -> GraphRun {
+pub fn derive_shape(spec: &GraphSpec, workload: GraphWorkload) -> (u32, u64, WorkloadShape) {
     let g = spec.build();
+    let shape = match workload {
+        GraphWorkload::Bfs => WorkloadShape::Bfs(bfs_levels(&g, 0)),
+        GraphWorkload::Pagerank => WorkloadShape::Pagerank {
+            residuals: pagerank(&g, PAGERANK_ITERATIONS, PAGERANK_DAMPING).residuals,
+        },
+    };
+    (g.node_count(), g.edge_count(), shape)
+}
+
+/// Lowers a derived traversal shape on a graph of `nodes` nodes and
+/// `edges` edges to the pipeline `placement` runs.
+///
+/// Pure: no graph is built and nothing is traversed. A PageRank shape is
+/// priced from the counts alone — every fixed iteration touches every
+/// edge — so its residuals are carried into the [`GraphRun`] but never
+/// read here.
+#[must_use]
+pub fn lower(nodes: u32, edges: u64, shape: &WorkloadShape, placement: GraphPlacement) -> GraphRun {
     let level = placement.level();
     let (trav_tpl, rank_tpl) = placement.templates();
-    let edge_list_bytes = g.edge_count() * EDGE_BYTES;
+    let edge_list_bytes = edges * EDGE_BYTES;
 
     let mut rc = ReachConfig::new();
-    let csr = rc.create_fixed_buffer("csr", level, csr_bytes(&g).max(1));
+    let csr = rc.create_fixed_buffer("csr", level, csr_bytes(nodes, edges).max(1));
 
     // Per-step work: (template, macs, touched-bytes, hand-off bytes, stage).
-    let (shape, steps) = match workload {
-        GraphWorkload::Bfs => {
-            let r = bfs_levels(&g, 0);
-            let steps: Vec<_> = r
-                .edges_scanned
-                .iter()
-                .zip(&r.frontier_sizes)
-                .map(|(&scanned, &frontier)| {
-                    (
-                        trav_tpl,
-                        scanned,                 // one compare-and-mark per edge
-                        scanned * EDGE_BYTES,    // rows touched expanding the frontier
-                        u64::from(frontier) * 4, // next-frontier hand-off
-                        "frontier",
-                    )
-                })
-                .collect();
-            (WorkloadShape::Bfs(r), steps)
-        }
-        GraphWorkload::Pagerank => {
-            let r = pagerank(&g, PAGERANK_ITERATIONS, PAGERANK_DAMPING);
-            let rank_vec = u64::from(g.node_count()) * RANK_BYTES;
-            let steps: Vec<_> = (0..PAGERANK_ITERATIONS)
+    let steps: Vec<_> = match shape {
+        WorkloadShape::Bfs(r) => r
+            .edges_scanned
+            .iter()
+            .zip(&r.frontier_sizes)
+            .map(|(&scanned, &frontier)| {
+                (
+                    trav_tpl,
+                    scanned,                 // one compare-and-mark per edge
+                    scanned * EDGE_BYTES,    // rows touched expanding the frontier
+                    u64::from(frontier) * 4, // next-frontier hand-off
+                    "frontier",
+                )
+            })
+            .collect(),
+        WorkloadShape::Pagerank { .. } => {
+            let rank_vec = u64::from(nodes) * RANK_BYTES;
+            (0..PAGERANK_ITERATIONS)
                 .map(|_| {
                     (
                         rank_tpl,
-                        2 * g.edge_count(), // multiply + accumulate per edge
-                        g.edge_count() * EDGE_BYTES,
+                        2 * edges, // multiply + accumulate per edge
+                        edges * EDGE_BYTES,
                         rank_vec,
                         "rank-update",
                     )
                 })
-                .collect();
-            (
-                WorkloadShape::Pagerank {
-                    residuals: r.residuals,
-                },
-                steps,
-            )
+                .collect()
         }
     };
 
@@ -245,10 +258,26 @@ pub fn graph_pipeline(
     }
     GraphRun {
         pipeline,
-        shape,
-        nodes: g.node_count(),
-        edges: g.edge_count(),
+        shape: shape.clone(),
+        nodes,
+        edges,
     }
+}
+
+/// Builds the pipeline for `workload` on `spec`'s graph at `placement`:
+/// [`derive_shape`] then [`lower`].
+///
+/// # Panics
+///
+/// Panics if the spec is degenerate (see [`GraphSpec::build`]).
+#[must_use]
+pub fn graph_pipeline(
+    spec: &GraphSpec,
+    workload: GraphWorkload,
+    placement: GraphPlacement,
+) -> GraphRun {
+    let (nodes, edges, shape) = derive_shape(spec, workload);
+    lower(nodes, edges, &shape, placement)
 }
 
 #[cfg(test)]

@@ -9,18 +9,25 @@
 //! CI validator re-checks from stdout (frontiers positive and summing to
 //! the visited count; residuals strictly decreasing).
 //!
+//! The sweep derives each (graph, workload) shape once and lowers it once
+//! per placement. Every point carries its lowered run, which its
+//! fingerprint, its simulation and its row all read.
+//!
 //! Determinism contract: graphs derive from fixed seeds through
 //! [`reach_sim::rng`] streams, simulation from the event queue — every row
 //! is byte-identical at any `--jobs` and replays through the
 //! scenario-result cache (fingerprint `reach-graph-v1`).
 
 use crate::csr::{GraphKind, GraphSpec};
-use crate::pipeline::{graph_pipeline, GraphPlacement, GraphWorkload, WorkloadShape};
+use crate::pipeline::{
+    derive_shape, graph_pipeline, lower, GraphPlacement, GraphRun, GraphWorkload, WorkloadShape,
+};
 use crate::templates::graph_blueprint;
 use reach::fingerprint::ConfigFingerprint;
 use reach::{Machine, MachineBlueprint, RunReport, Scenario, ScenarioExecutor};
 use reach_sim::FingerprintBuilder;
 use std::fmt;
+use std::sync::Arc;
 
 /// Node counts swept per workload × placement.
 pub const GRAPH_SCALES: [u32; 3] = [1024, 4096, 16384];
@@ -36,6 +43,7 @@ pub struct GraphScenario {
     spec: GraphSpec,
     workload: GraphWorkload,
     placement: GraphPlacement,
+    run: Arc<GraphRun>,
     batches: usize,
     seed: u64,
 }
@@ -46,6 +54,18 @@ impl GraphScenario {
     /// `--seed N` reshuffles every generated graph at once.
     #[must_use]
     pub fn new(spec: GraphSpec, workload: GraphWorkload, placement: GraphPlacement) -> Self {
+        let run = graph_pipeline(&spec, workload, placement);
+        Self::lowered(spec, workload, placement, run)
+    }
+
+    /// A sweep point around `run`, which must be `spec`'s `workload` shape
+    /// lowered at `placement`.
+    fn lowered(
+        spec: GraphSpec,
+        workload: GraphWorkload,
+        placement: GraphPlacement,
+        run: GraphRun,
+    ) -> Self {
         GraphScenario {
             label: format!(
                 "graph/{}/{}/{}",
@@ -57,6 +77,7 @@ impl GraphScenario {
             spec,
             workload,
             placement,
+            run: Arc::new(run),
             batches: 1,
             seed: reach_sim::rng::session_seed(),
         }
@@ -83,18 +104,16 @@ impl Scenario for GraphScenario {
     }
 
     fn run(&self, machine: &mut Machine) -> RunReport {
-        let run = graph_pipeline(&self.spec, self.workload, self.placement);
-        run.pipeline.run(machine, self.batches)
+        self.run.pipeline.run(machine, self.batches)
     }
 
     /// Everything `run` consumes: machine shape, the compiled pipeline
     /// (which itself digests the traversal shape, hence the graph), the
     /// generating spec, workload, placement, batch count and seed.
     fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
-        let run = graph_pipeline(&self.spec, self.workload, self.placement);
         let mut b = FingerprintBuilder::new("reach-graph-v1");
         self.blueprint.fingerprint().write_into(&mut b);
-        run.pipeline.fingerprint().write_into(&mut b);
+        self.run.pipeline.fingerprint().write_into(&mut b);
         b.write_debug(&self.spec);
         b.write_str(self.workload.name());
         b.write_str(self.placement.name());
@@ -172,64 +191,65 @@ impl fmt::Display for GraphRow {
     }
 }
 
-/// The sweep grid: (workload, graph kind) pairs × placements × scales.
-fn sweep_points() -> Vec<(GraphWorkload, GraphKind, GraphPlacement, u32)> {
-    let mut pts = Vec::new();
+/// The sweep grid, in row order: (workload, graph kind) pairs ×
+/// placements × scales. Each (workload, scale) shape is derived once and
+/// lowered per placement.
+fn sweep_scenarios() -> Vec<GraphScenario> {
+    let seed = reach_sim::rng::session_seed();
+    let mut scenarios = Vec::new();
     for (workload, kind) in [
         (GraphWorkload::Bfs, GraphKind::Rmat),
         (GraphWorkload::Pagerank, GraphKind::Uniform),
     ] {
+        let shapes: Vec<_> = GRAPH_SCALES
+            .iter()
+            .map(|&nodes| {
+                let spec = GraphSpec {
+                    nodes,
+                    avg_degree: GRAPH_DEGREE,
+                    kind,
+                    seed,
+                };
+                (spec, derive_shape(&spec, workload))
+            })
+            .collect();
         for placement in GraphPlacement::ALL {
-            for &nodes in &GRAPH_SCALES {
-                pts.push((workload, kind, placement, nodes));
+            for (spec, (nodes, edges, shape)) in &shapes {
+                let run = lower(*nodes, *edges, shape, placement);
+                scenarios.push(GraphScenario::lowered(*spec, workload, placement, run));
             }
         }
     }
-    pts
+    scenarios
 }
 
 /// Runs the placement × scale sweep through `executor` and reduces each
 /// point to a [`GraphRow`].
 #[must_use]
 pub fn graph_sweep_with(executor: &dyn ScenarioExecutor) -> Vec<GraphRow> {
-    let seed = reach_sim::rng::session_seed();
-    let points = sweep_points();
-    let scenarios: Vec<Box<dyn Scenario>> = points
-        .iter()
-        .map(|&(workload, kind, placement, nodes)| {
-            let spec = GraphSpec {
-                nodes,
-                avg_degree: GRAPH_DEGREE,
-                kind,
-                seed,
-            };
-            Box::new(GraphScenario::new(spec, workload, placement)) as Box<dyn Scenario>
-        })
-        .collect();
-    let results = executor.run_all(scenarios);
+    let scenarios = sweep_scenarios();
+    let results = executor.run_all(
+        scenarios
+            .iter()
+            .map(|s| Box::new(s.clone()) as Box<dyn Scenario>)
+            .collect(),
+    );
 
-    points
+    // Rows read the carried shape, so warm replays render identically
+    // without simulating.
+    scenarios
         .iter()
         .zip(results)
-        .map(|(&(workload, kind, placement, nodes), res)| {
-            let spec = GraphSpec {
-                nodes,
-                avg_degree: GRAPH_DEGREE,
-                kind,
-                seed,
-            };
-            // Re-derive the shape host-side (cheap; the simulation is what
-            // the cache skips) so rows render identically on warm replays.
-            let run = graph_pipeline(&spec, workload, placement);
+        .map(|(s, res)| {
             let makespan = res.report.makespan;
             let mut row = GraphRow {
-                workload: workload.name(),
-                placement: placement.name(),
-                graph: spec.label(),
-                edges: run.edges,
+                workload: s.workload.name(),
+                placement: s.placement.name(),
+                graph: s.spec.label(),
+                edges: s.run.edges,
                 makespan_ms: makespan.as_ms_f64(),
                 events_per_sec: 0.0,
-                shape: run.shape,
+                shape: s.run.shape.clone(),
             };
             row.events_per_sec = row.events() as f64 / makespan.as_secs_f64();
             row
@@ -258,22 +278,37 @@ mod tests {
     #[test]
     fn fingerprint_tracks_every_knob() {
         let base = point();
-        let mut variants: Vec<GraphScenario> = Vec::new();
-        let mut v = point();
-        v.spec.nodes = 2048;
-        variants.push(v);
-        let mut v = point();
-        v.spec.seed ^= 1;
-        variants.push(v);
-        let mut v = point();
-        v.spec.kind = GraphKind::Uniform;
-        variants.push(v);
-        let mut v = point();
-        v.workload = GraphWorkload::Pagerank;
-        variants.push(v);
-        let mut v = point();
-        v.placement = GraphPlacement::NearStorage;
-        variants.push(v);
+        let spec = *base.spec();
+        // Graph, workload and placement variants go through the
+        // constructor, so each carries its own lowered run.
+        let mut variants = vec![
+            GraphScenario::new(
+                GraphSpec {
+                    nodes: 2048,
+                    ..spec
+                },
+                base.workload,
+                base.placement,
+            ),
+            GraphScenario::new(
+                GraphSpec {
+                    seed: spec.seed ^ 1,
+                    ..spec
+                },
+                base.workload,
+                base.placement,
+            ),
+            GraphScenario::new(
+                GraphSpec {
+                    kind: GraphKind::Uniform,
+                    ..spec
+                },
+                base.workload,
+                base.placement,
+            ),
+            GraphScenario::new(spec, GraphWorkload::Pagerank, base.placement),
+            GraphScenario::new(spec, base.workload, GraphPlacement::NearStorage),
+        ];
         let mut v = point();
         v.batches = 2;
         variants.push(v);
@@ -302,6 +337,19 @@ mod tests {
             b.execute().makespan,
             "equal fingerprints must replay identically"
         );
+    }
+
+    #[test]
+    fn sweep_points_carry_the_derived_pipeline() {
+        for s in sweep_scenarios() {
+            let fresh = graph_pipeline(&s.spec, s.workload, s.placement);
+            assert_eq!(
+                s.run.pipeline.fingerprint(),
+                fresh.pipeline.fingerprint(),
+                "{}",
+                s.label
+            );
+        }
     }
 
     #[test]

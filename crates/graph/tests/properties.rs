@@ -1,7 +1,11 @@
 //! Property tests over the graph structures and reference algorithms.
 
 use proptest::prelude::*;
-use reach_graph::{bfs_levels, pagerank, Graph, GraphKind, GraphSpec, PAGERANK_DAMPING};
+use reach_graph::pipeline::lower;
+use reach_graph::{
+    bfs_levels, graph_pipeline, pagerank, Graph, GraphKind, GraphPlacement, GraphSpec,
+    GraphWorkload, WorkloadShape, PAGERANK_DAMPING,
+};
 use std::collections::BinaryHeap;
 
 /// Dijkstra with unit edge weights: the independent oracle for BFS levels.
@@ -39,6 +43,37 @@ fn spec_of(nodes: u32, avg_degree: u32, rmat: bool, seed: u64) -> GraphSpec {
             GraphKind::Uniform
         },
         seed,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// PageRank lowered from the spec's counts alone — no graph built, no
+    /// residuals — is the pipeline the full host derivation lowers to, at
+    /// every placement and for every generator (the golden graph included,
+    /// whose spec ignores `nodes` and `avg_degree`). The counts-only shape
+    /// carries no residuals, so a lowering that read them would diverge.
+    #[test]
+    fn counts_only_pagerank_lowering_matches_the_derivation(
+        nodes in 2u32..300,
+        avg_degree in 1u32..8,
+        kind_ix in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let kind = [GraphKind::Uniform, GraphKind::Rmat, GraphKind::Golden][kind_ix];
+        let spec = GraphSpec { nodes, avg_degree, kind, seed };
+        let counts_only = WorkloadShape::Pagerank { residuals: Vec::new() };
+        for placement in GraphPlacement::ALL {
+            let lowered =
+                lower(spec.node_count(), spec.edge_count(), &counts_only, placement).pipeline;
+            let derived = graph_pipeline(&spec, GraphWorkload::Pagerank, placement).pipeline;
+            prop_assert_eq!(lowered.fingerprint(), derived.fingerprint());
+            let (job, works) = lowered.job_for_batch(0);
+            let (derived_job, derived_works) = derived.job_for_batch(0);
+            prop_assert_eq!(format!("{job:?}"), format!("{derived_job:?}"));
+            prop_assert_eq!(works, derived_works);
+        }
     }
 }
 
