@@ -9,10 +9,9 @@
 #   <tag>[,VAR=VALUE...]:<extra flags>
 #
 # and its captures land in <name>_<tag>.out / <name>_<tag>.err. Without
-# explicit legs the standard matrix runs: --jobs 1/4/8, --jobs 4
-# --no-result-cache, --jobs 4 --result-cache-policy lru. The 'diskcache'
-# validator kind receives stdout:stderr pairs; every other kind receives
-# the stdout captures in leg order.
+# explicit legs the standard matrix runs: --jobs 1/4/8 and --jobs 4
+# --no-result-cache. The 'diskcache' validator kind receives stdout:stderr
+# pairs; every other kind receives the stdout captures in leg order.
 #
 # Environment knobs:
 #   DETERMINISM_BIN          binary to drive (default ./target/release/experiments)
@@ -46,7 +45,6 @@ if [[ ${#legs[@]} -eq 0 ]]; then
     "j4:--jobs 4"
     "j8:--jobs 8"
     "nocache:--jobs 4 --no-result-cache"
-    "lru:--jobs 4 --result-cache-policy lru"
   )
 fi
 if [[ -n ${DETERMINISM_EXTRA_LEGS:-} ]]; then

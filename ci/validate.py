@@ -11,8 +11,7 @@ same validations run locally:
     ci/validate.py traffic traffic_j1.out traffic_j4.out ...
     ci/validate.py graph graph_j1.out graph_j4.out ...
     ci/validate.py diskcache cold.out:cold.err warm.out:warm.err ...
-    ci/validate.py simd simd_off_j1.out simd_auto_j1.out ...
-    ci/validate.py suite suite_j1.out suite_j4.out ...  # alias of simd
+    ci/validate.py suite suite_j1.out suite_j4.out ...
     ci/validate.py identical a.out b.out ...     # plain byte-compare
     ci/validate.py selftest                      # the validators' own tests
 
@@ -107,7 +106,6 @@ def validate_metrics(doc):
                 f"empty metrics for {s.get('label')!r}")
     proc = doc.get("process", {}).get("metrics", {})
     for key in (
-        "cbir.simd_dispatch",
         "cbir.cache_hits",
         "cbir.cache_misses",
         "runner.result_cache_hits",
@@ -381,25 +379,21 @@ def validate_identical(captures):
     return f"{len(captures)} identical capture(s)"
 
 
-SIMD_SUITE_HEADER = "TABLE I. MEMORY AND COMPUTE REQUIREMENTS"
+SUITE_HEADER = "TABLE I. MEMORY AND COMPUTE REQUIREMENTS"
 
 
-def validate_simd(captures):
-    """SIMD-determinism captures: full `experiments` suite stdout recorded
-    under REACH_SIMD=off and REACH_SIMD=auto at different --jobs levels.
-    The explicit-SIMD kernel tier is bit-identical to the scalar one by
-    construction, so every capture must be byte-identical — a single
-    differing byte means the no-FMA lane model broke somewhere."""
+def validate_suite(captures):
+    """Suite-determinism captures: full `experiments` stdout recorded at
+    different --jobs levels and cache modes. Every capture must be
+    byte-identical, and the reference must be a full-suite run."""
     require(len(captures) >= 2,
             f"need at least two captures to compare, got {len(captures)}")
     (ref_name, reference) = captures[0]
-    require(SIMD_SUITE_HEADER in reference,
+    require(SUITE_HEADER in reference,
             f"{ref_name} is not a full-suite capture (missing the Table I "
             "header)")
     for name, text in captures[1:]:
-        require(text == reference,
-                f"{name} differs from {ref_name} — the SIMD tier is no "
-                "longer bit-identical to the scalar kernels")
+        require(text == reference, f"{name} differs from {ref_name}")
     return f"{len(captures)} identical capture(s)"
 
 
@@ -477,7 +471,6 @@ def selftest():
         "schema": "reach-run-metrics-v1",
         "scenarios": [{"label": "a", "metrics": {"metrics": [{"name": "x"}]}}],
         "process": {"metrics": {
-            "cbir.simd_dispatch": {"kind": "gauge", "mean": 1.0, "last": 1.0},
             "cbir.cache_hits": 1, "cbir.cache_misses": 2,
             "runner.result_cache_hits": 3, "runner.result_cache_misses": 4,
             "runner.result_cache_disk_hits": 0,
@@ -535,10 +528,6 @@ def selftest():
     bad = json.loads(json.dumps(good_metrics))
     del bad["process"]["metrics"]["runner.result_cache_hits"]
     rejects(validate_metrics, bad, "missing result-cache counter")
-
-    bad = json.loads(json.dumps(good_metrics))
-    del bad["process"]["metrics"]["cbir.simd_dispatch"]
-    rejects(validate_metrics, bad, "missing simd-dispatch gauge")
 
     bad = json.loads(json.dumps(good_metrics))
     del bad["process"]["metrics"]["runner.result_cache_disk_hits"]
@@ -616,15 +605,15 @@ def selftest():
                after={"wall_s": 0.24}, speedup=1.25)
     rejects(validate_bench, bad, "pr12 speedup below the 1.5x bar")
 
-    good_simd = SIMD_SUITE_HEADER + "\n  Feature extraction  552 MB\nFIG 8.\n"
-    validate_simd([("off_j1", good_simd), ("auto_j1", good_simd),
-                   ("auto_j8", good_simd)])
-    rejects(validate_simd, [("off_j1", good_simd)], "a single simd capture")
-    rejects(validate_simd,
-            [("off_j1", good_simd), ("auto_j1", good_simd + "drift")],
-            "non-identical simd captures")
-    rejects(validate_simd, [("off_j1", "no header"), ("auto_j1", "no header")],
-            "a simd capture without the suite header")
+    good_suite = SUITE_HEADER + "\n  Feature extraction  552 MB\nFIG 8.\n"
+    validate_suite([("j1", good_suite), ("j4", good_suite),
+                    ("j8", good_suite)])
+    rejects(validate_suite, [("j1", good_suite)], "a single suite capture")
+    rejects(validate_suite,
+            [("j1", good_suite), ("j4", good_suite + "drift")],
+            "non-identical suite captures")
+    rejects(validate_suite, [("j1", "no header"), ("j4", "no header")],
+            "a suite capture without the suite header")
 
     rows = "sweep/ReACH/nm4-ns4\nmakespan 1.000ms\n"
     cold = ("cold", rows, "(result cache: 0 mem hit(s), 1 mem miss(es), "
@@ -757,7 +746,7 @@ def selftest():
 
 def main(argv):
     kinds = ("metrics", "bench", "golden", "fleet", "traffic", "graph",
-             "diskcache", "simd", "suite", "identical", "selftest")
+             "diskcache", "suite", "identical", "selftest")
     if len(argv) < 2 or argv[1] not in kinds:
         print(__doc__, file=sys.stderr)
         return 2
@@ -776,10 +765,9 @@ def main(argv):
             print(f"{kind}: {e}", file=sys.stderr)
             return 1
         return 0
-    if kind in ("fleet", "traffic", "graph", "simd", "suite", "identical"):
+    if kind in ("fleet", "traffic", "graph", "suite", "identical"):
         validate = {"fleet": validate_fleet, "traffic": validate_traffic,
-                    "graph": validate_graph, "simd": validate_simd,
-                    "suite": validate_simd,
+                    "graph": validate_graph, "suite": validate_suite,
                     "identical": validate_identical}[kind]
         try:
             check_captures(kind, validate, paths)

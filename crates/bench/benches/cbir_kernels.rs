@@ -5,7 +5,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use reach_cbir::dataset::Dataset;
 use reach_cbir::ivf::IvfIndex;
 use reach_cbir::linalg::{batch_dist_sq, gemm_nt, Matrix};
-use reach_cbir::simd::{self, SimdPath};
 use reach_cbir::top_k;
 use reach_cbir::FeatureNet;
 use reach_sim::rng::seeded;
@@ -13,34 +12,12 @@ use reach_sim::rng::seeded;
 fn bench_gemm(c: &mut Criterion) {
     // The short-list shape: a 16 x 96 query batch against 1000 centroids.
     let mut g = c.benchmark_group("cbir/gemm");
-    // Which kernel tier the unpinned rows run on (and what "simd" pins).
-    eprintln!(
-        "cbir/gemm kernel dispatch: {} (auto); paired rows pin scalar vs {}",
-        simd::active().name(),
-        simd::best_supported().name()
-    );
     let q = Matrix::from_vec(16, 96, (0..16 * 96).map(|i| (i % 17) as f32).collect());
     let cm = Matrix::from_vec(1000, 96, (0..1000 * 96).map(|i| (i % 13) as f32).collect());
     g.throughput(Throughput::Elements(16 * 96 * 1000));
     g.bench_function("shortlist_shape_16x96x1000", |b| {
         b.iter(|| black_box(gemm_nt(&q, &cm)));
     });
-    // Paired rows with the kernel tier pinned, so the SIMD speedup (and
-    // the scalar baseline it is measured against) is readable from one
-    // report. Outputs are bit-identical across rows; only time differs.
-    simd::force(Some(SimdPath::Scalar));
-    g.bench_function("shortlist_shape_16x96x1000_scalar", |b| {
-        b.iter(|| black_box(gemm_nt(&q, &cm)));
-    });
-    simd::force(Some(simd::best_supported()));
-    let simd_row = format!(
-        "shortlist_shape_16x96x1000_{}",
-        simd::best_supported().name()
-    );
-    g.bench_function(&simd_row, |b| {
-        b.iter(|| black_box(gemm_nt(&q, &cm)));
-    });
-    simd::force(None);
     g.bench_function("decomposed_distance_16x1000", |b| {
         b.iter(|| black_box(batch_dist_sq(&q, &cm)));
     });

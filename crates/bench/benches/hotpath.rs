@@ -96,14 +96,7 @@ fn bench_machine(c: &mut Criterion) {
 }
 
 fn bench_gemm(c: &mut Criterion) {
-    use reach_cbir::simd::{self, SimdPath};
-
     let mut g = c.benchmark_group("hotpath/gemm");
-    eprintln!(
-        "hotpath/gemm kernel dispatch: {} (auto); paired rows pin scalar vs {}",
-        simd::active().name(),
-        simd::best_supported().name()
-    );
     let m = scaled(512, 128);
     let n = 1000;
     let k = 96;
@@ -113,18 +106,6 @@ fn bench_gemm(c: &mut Criterion) {
     g.bench_function("rerank_shape_parallel", |b| {
         b.iter(|| black_box(gemm_nt(&a, &bm)));
     });
-    // Same shape with the kernel tier pinned: the scalar baseline and the
-    // widest SIMD path, bit-identical outputs, only wall time differs.
-    simd::force(Some(SimdPath::Scalar));
-    g.bench_function("rerank_shape_parallel_scalar", |b| {
-        b.iter(|| black_box(gemm_nt(&a, &bm)));
-    });
-    simd::force(Some(simd::best_supported()));
-    let simd_row = format!("rerank_shape_parallel_{}", simd::best_supported().name());
-    g.bench_function(&simd_row, |b| {
-        b.iter(|| black_box(gemm_nt(&a, &bm)));
-    });
-    simd::force(None);
     g.finish();
 }
 

@@ -15,8 +15,7 @@
 //!
 //! A scenario-result cache replays reports for repeated configurations
 //! (several figures and ablations share points); `--no-result-cache`
-//! disables it and `--result-cache-policy fifo|lru` picks the eviction
-//! policy (default fifo). Stdout is byte-identical either way.
+//! disables it. Stdout is byte-identical either way.
 //!
 //! `--result-cache-dir PATH` backs the cache with a persistent on-disk
 //! store keyed by fingerprint + simulator build stamp, so a *second
@@ -35,6 +34,8 @@
 //! `--bench-out PATH` writes per-experiment wall-clock and headline
 //! throughput numbers as `reach-bench-v1` JSON. Both go to files, never to
 //! stdout, so the determinism contract above holds.
+
+#![forbid(unsafe_code)]
 
 use reach_bench::runner::{CountingExecutor, RecordingExecutor};
 use reach_bench::{BenchEntry, ExperimentsArgs};
@@ -178,14 +179,6 @@ fn main() -> ExitCode {
 
     if let Some(path) = metrics_path {
         let mut process = MetricsSnapshot::new(0);
-        // Which kernel tier served this run (0 scalar, 1 avx2, 2 neon) —
-        // resolving it here also emits the once-per-process stderr note,
-        // so a --metrics run is always attributable even if no functional
-        // kernel happened to execute.
-        process.set_gauge(
-            "cbir.simd_dispatch",
-            reach_cbir::simd::active().gauge_value(),
-        );
         process.set_counter("cbir.cache_hits", cache_hits);
         process.set_counter("cbir.cache_misses", cache_misses);
         process.set_counter("runner.result_cache_hits", result_cache.hits);

@@ -15,6 +15,8 @@
 //! from the scenario-result cache unless `--no-result-cache` is given;
 //! stdout is byte-identical either way, only the wall clock moves.
 
+#![forbid(unsafe_code)]
+
 use reach::ScenarioExecutor;
 use reach_bench::sweep::SweepArgs;
 use std::process::ExitCode;
@@ -30,7 +32,7 @@ fn main() -> ExitCode {
                 "usage: sweep [--nm N[,N..]] [--ns N[,N..]] [--batches N] [--batch-size N] \
                  [--candidates N] [--mapping onchip|near-mem|near-stor|proper] [--sequential] \
                  [--jobs N] [--seed N] [--metrics-dir DIR] [--repeat N] [--no-result-cache] \
-                 [--result-cache-policy fifo|lru] [--result-cache-dir PATH] [--no-disk-cache]"
+                 [--result-cache-dir PATH] [--no-disk-cache]"
             );
             return ExitCode::FAILURE;
         }

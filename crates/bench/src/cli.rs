@@ -4,12 +4,11 @@
 //! the binary.
 //!
 //! The flags shared by every runner-driving binary (`--jobs`,
-//! `--no-result-cache`, `--result-cache-policy`, `--seed`) live in
-//! [`CommonRunnerArgs`]: one accept-loop, one set of rejection messages,
-//! embedded by both [`ExperimentsArgs`] and [`crate::sweep::SweepArgs`] so
-//! the two grammars cannot drift.
+//! `--no-result-cache`, `--result-cache-dir`, `--no-disk-cache`, `--seed`)
+//! live in [`CommonRunnerArgs`]: one accept-loop, one set of rejection
+//! messages, embedded by both [`ExperimentsArgs`] and
+//! [`crate::sweep::SweepArgs`] so the two grammars cannot drift.
 
-use crate::cache::EvictionPolicy;
 use crate::runner::ScenarioRunner;
 use std::fmt;
 
@@ -20,8 +19,6 @@ pub struct CommonRunnerArgs {
     pub jobs: usize,
     /// Disable the scenario-result cache (`--no-result-cache`).
     pub no_result_cache: bool,
-    /// Result-cache eviction policy (`--result-cache-policy fifo|lru`).
-    pub result_cache_policy: EvictionPolicy,
     /// Session-seed override (`--seed N`); `None` keeps
     /// [`reach_sim::rng::DEFAULT_SEED`]. Covered by every scenario
     /// fingerprint, so cached results never leak across seeds.
@@ -39,7 +36,6 @@ impl Default for CommonRunnerArgs {
         CommonRunnerArgs {
             jobs: 1,
             no_result_cache: false,
-            result_cache_policy: EvictionPolicy::Fifo,
             seed: None,
             result_cache_dir: None,
             no_disk_cache: false,
@@ -90,23 +86,13 @@ impl CommonRunnerArgs {
                     }
                 };
             }
-            "--result-cache-policy" => {
-                self.result_cache_policy = match it.next().map(|v| EvictionPolicy::parse(v)) {
-                    Some(Some(p)) => p,
-                    _ => {
-                        return Err(ParseArgsError(
-                            "--result-cache-policy needs 'fifo' or 'lru'".into(),
-                        ))
-                    }
-                };
-            }
             _ => return Ok(false),
         }
         Ok(true)
     }
 
     /// The runner these flags select: `jobs` workers, result cache on
-    /// (with the chosen eviction policy) unless `--no-result-cache`, and
+    /// unless `--no-result-cache`, and
     /// the persistent disk tier attached when `--result-cache-dir` is set
     /// (and neither `--no-disk-cache` nor `--no-result-cache` vetoes it —
     /// the disk tier backs the in-memory cache, so disabling the cache
@@ -116,7 +102,7 @@ impl CommonRunnerArgs {
         if self.no_result_cache {
             return ScenarioRunner::without_cache(self.jobs);
         }
-        let runner = ScenarioRunner::with_cache_policy(self.jobs, self.result_cache_policy);
+        let runner = ScenarioRunner::new(self.jobs);
         match &self.result_cache_dir {
             Some(dir) if !self.no_disk_cache => runner.with_disk_cache(std::path::Path::new(dir)),
             _ => runner,
@@ -161,14 +147,14 @@ impl std::error::Error for ParseArgsError {}
 
 impl ExperimentsArgs {
     /// Parses the arguments after the program name. Anything that is not a
-    /// recognized flag is collected as an experiment id (validated against
-    /// the renderer table by the binary, which knows the ids).
+    /// flag is collected as an experiment id (validated against the
+    /// renderer table by the binary, which knows the ids).
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending flag when a value is missing
-    /// or out of range — notably `--jobs 0`, which would otherwise panic
-    /// deep inside the runner.
+    /// Returns a message naming the offending flag when it is unknown or
+    /// its value is missing or out of range — notably `--jobs 0`, which
+    /// would otherwise panic deep inside the runner.
     pub fn parse(raw: &[String]) -> Result<Self, ParseArgsError> {
         let mut out = ExperimentsArgs::default();
         let mut it = raw.iter();
@@ -186,6 +172,9 @@ impl ExperimentsArgs {
                     None => return Err(ParseArgsError("--bench-out needs a file path".into())),
                 },
                 "--list" => out.list = true,
+                other if other.starts_with("--") => {
+                    return Err(ParseArgsError(format!("unknown flag '{other}'")))
+                }
                 other => out.ids.push(other.to_string()),
             }
         }
@@ -279,35 +268,23 @@ mod tests {
     }
 
     #[test]
-    fn cache_policy_parses_and_defaults_to_fifo() {
-        assert_eq!(
-            parse(&[]).unwrap().common.result_cache_policy,
-            EvictionPolicy::Fifo
-        );
-        assert_eq!(
-            parse(&["--result-cache-policy", "lru"])
-                .unwrap()
-                .common
-                .result_cache_policy,
-            EvictionPolicy::Lru
-        );
-        assert_eq!(
-            parse(&["--result-cache-policy", "fifo"])
-                .unwrap()
-                .common
-                .result_cache_policy,
-            EvictionPolicy::Fifo
-        );
+    fn rejects_unknown_flags() {
+        let err = parse(&["--cache-mode", "warm"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag '--cache-mode'");
     }
 
     #[test]
-    fn rejects_unknown_cache_policy() {
-        let err = parse(&["--result-cache-policy", "random"]).unwrap_err();
-        assert!(
-            err.to_string().contains("'fifo' or 'lru'"),
-            "unhelpful message: {err}"
-        );
-        assert!(parse(&["--result-cache-policy"]).is_err());
+    fn removed_cache_policy_flag_is_rejected_not_taken_as_an_id() {
+        // The result cache has one eviction policy; the old selector flag
+        // is an error rather than an experiment id or a silent no-op.
+        let err = parse(&["--result-cache-policy", "lru"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag '--result-cache-policy'");
+    }
+
+    #[test]
+    fn unknown_flag_after_ids_is_still_rejected() {
+        let err = parse(&["fig13", "table1", "--bogus"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag '--bogus'");
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod export;
 pub mod runner;
 pub mod sweep;
 
-pub use cache::{CacheStats, EvictionPolicy, ResultCache};
+pub use cache::{CacheStats, ResultCache};
 pub use cli::{CommonRunnerArgs, ExperimentsArgs};
 pub use diskcache::{DiskCache, DiskCacheStats};
 pub use export::{

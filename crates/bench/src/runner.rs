@@ -28,7 +28,7 @@
 //! [`ScenarioRunner::without_cache`] (the `--no-result-cache` flag) to
 //! force every scenario to simulate.
 
-use crate::cache::{CacheStats, EvictionPolicy, ResultCache};
+use crate::cache::{CacheStats, ResultCache};
 use crate::diskcache::{DiskCache, DiskCacheStats};
 use reach::fleet::FleetScenario;
 use reach::{
@@ -99,24 +99,6 @@ impl ScenarioRunner {
     pub fn without_cache(jobs: usize) -> Self {
         ScenarioRunner {
             cache: None,
-            ..Self::new(jobs)
-        }
-    }
-
-    /// An executor whose cache evicts per `policy` (the
-    /// `--result-cache-policy` flag). [`ScenarioRunner::new`] is the FIFO
-    /// shorthand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero.
-    #[must_use]
-    pub fn with_cache_policy(jobs: usize, policy: EvictionPolicy) -> Self {
-        ScenarioRunner {
-            cache: Some(Arc::new(ResultCache::with_policy(
-                ResultCache::DEFAULT_CAPACITY,
-                policy,
-            ))),
             ..Self::new(jobs)
         }
     }
@@ -692,17 +674,6 @@ mod tests {
         let runner = ScenarioRunner::new(2);
         let _ = runner.run_all(vec![point(), point()]);
         assert_eq!(runner.cache_stats(), crate::cache::CacheStats::default());
-    }
-
-    #[test]
-    fn cache_policy_is_never_observable_in_output() {
-        // LRU vs FIFO changes *which* entries survive a full cache, never
-        // what a lookup returns — at these batch sizes both policies hold
-        // everything, and even at capacity a hit is a hit.
-        let fifo = rendered(&ScenarioRunner::new(4).run_all(batch()));
-        let lru_runner = ScenarioRunner::with_cache_policy(4, EvictionPolicy::Lru);
-        assert_eq!(fifo, rendered(&lru_runner.run_all(batch())));
-        assert_eq!(fifo, rendered(&lru_runner.run_all(batch())), "warm replay");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! product of shapes, one [`CbirScenario`] per point, fanned across
 //! `--jobs` threads by the [`ScenarioRunner`]. Results come back in grid
 //! order regardless of the job count. The runner-facing flags (`--jobs`,
-//! `--seed`, `--no-result-cache`, `--result-cache-policy`) are the shared
-//! [`CommonRunnerArgs`] grammar, identical to the `experiments` binary.
+//! `--seed`, `--no-result-cache`, `--result-cache-dir`, `--no-disk-cache`)
+//! are the shared [`CommonRunnerArgs`] grammar, identical to the
+//! `experiments` binary.
 
 use crate::cli::CommonRunnerArgs;
 use crate::runner::ScenarioRunner;
@@ -78,7 +79,7 @@ impl SweepArgs {
     /// `--metrics-dir DIR` (one telemetry CSV per grid point),
     /// `--repeat N` (run the grid N times; later passes hit the result
     /// cache), plus the shared runner flags `--jobs`, `--seed`,
-    /// `--no-result-cache` and `--result-cache-policy fifo|lru`.
+    /// `--no-result-cache`, `--result-cache-dir PATH` and `--no-disk-cache`.
     ///
     /// # Errors
     ///
@@ -194,7 +195,6 @@ impl SweepArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::EvictionPolicy;
 
     fn parse(tokens: &[&str]) -> Result<SweepArgs, ParseSweepError> {
         SweepArgs::parse(&tokens.iter().map(ToString::to_string).collect::<Vec<_>>())
@@ -246,6 +246,18 @@ mod tests {
     }
 
     #[test]
+    fn rejects_removed_cache_policy_flag() {
+        // The result cache has one eviction policy; the old selector is
+        // an unknown flag to the sweep parser too.
+        for policy in ["fifo", "lru"] {
+            let err = parse(&["--result-cache-policy", policy])
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("--result-cache-policy"), "got: {err}");
+        }
+    }
+
+    #[test]
     fn zero_counts_name_the_offending_flag() {
         // `--jobs 0` goes through the shared grammar, so the sweep binary
         // prints the exact same message as `experiments`.
@@ -270,20 +282,6 @@ mod tests {
         assert!(a.common.no_result_cache);
         assert!(!a.runner().cache_enabled());
         assert!(parse(&[]).unwrap().runner().cache_enabled());
-    }
-
-    #[test]
-    fn parses_cache_policy() {
-        assert_eq!(
-            parse(&[]).unwrap().common.result_cache_policy,
-            EvictionPolicy::Fifo
-        );
-        let a = parse(&["--result-cache-policy", "lru"]).unwrap();
-        assert_eq!(a.common.result_cache_policy, EvictionPolicy::Lru);
-        assert!(a.runner().cache_enabled());
-        let err = parse(&["--result-cache-policy", "mru"]).unwrap_err();
-        assert!(err.to_string().contains("'fifo' or 'lru'"), "got: {err}");
-        assert!(parse(&["--result-cache-policy"]).is_err());
     }
 
     #[test]

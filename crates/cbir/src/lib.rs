@@ -20,10 +20,7 @@
 //! the same math at laptop scale), while *performance and energy* come from
 //! the cycle-level model fed with the billion-scale geometry.
 
-// `deny`, not `forbid`: the one sanctioned exception is `crate::simd`,
-// whose `#[target_feature]` kernels opt back in with a module-local
-// `allow` — `ci/lint-hotpath.sh` enforces that no other module does.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
@@ -41,7 +38,6 @@ pub mod pca;
 pub mod pipeline;
 pub mod pq;
 pub mod scenarios;
-pub mod simd;
 pub mod topk;
 pub mod traffic;
 pub mod workload;

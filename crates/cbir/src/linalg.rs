@@ -91,8 +91,7 @@ impl Matrix {
 ///
 /// Large products fan out across threads in fixed 64-row chunks (see
 /// [`crate::par`]); every output element is accumulated in the same
-/// `t`-ordered lane model on either path — and on either kernel tier,
-/// scalar or explicit SIMD (see [`crate::simd`]) — so the result is
+/// `t`-ordered lane model on either path, so the result is
 /// byte-identical at any worker count and on any host.
 ///
 /// # Panics
@@ -147,22 +146,19 @@ pub fn gemm_nt_jobs(a: &Matrix, b: &Matrix, jobs: usize) -> Matrix {
     c
 }
 
-/// SIMD lane count of the register-blocked kernels. Eight `f32` lanes map
-/// onto one AVX2 register (or two NEON registers): the scalar kernels keep
-/// the lanes independent so the compiler can auto-vectorize them, and the
-/// explicit kernels in [`crate::simd`] hold the *same* lanes in real
-/// vector registers — which is what makes the two tiers bit-identical.
-pub(crate) const LANES: usize = 8;
+/// Lane count of the register-blocked kernels. The kernels keep eight
+/// independent `f32` accumulators so the compiler can auto-vectorize them;
+/// the lane model (not the instruction set) fixes the output bits.
+const LANES: usize = 8;
 
 /// Columns of `B^T` processed per inner-kernel invocation.
 const COLS: usize = 4;
 
 /// Folds an 8-lane accumulator with a fixed reduction tree. Every kernel
-/// in this module *and* every explicit-SIMD kernel in [`crate::simd`]
-/// reduces through this one function, so any two paths that accumulate
-/// the same lanes agree bit-for-bit.
+/// in this module reduces through this one function, so any two paths
+/// that accumulate the same lanes agree bit-for-bit.
 #[inline]
-pub(crate) fn reduce(acc: [f32; LANES]) -> f32 {
+fn reduce(acc: [f32; LANES]) -> f32 {
     let q = [
         acc[0] + acc[4],
         acc[1] + acc[5],
@@ -182,19 +178,8 @@ pub(crate) fn reduce(acc: [f32; LANES]) -> f32 {
 /// This is *the* accumulation order of the crate: the GEMM micro-kernel,
 /// [`norm_sq`] and the k-means assignment all route through it, which is
 /// what makes decomposed distances of a vector to itself exactly zero.
-///
-/// Dispatches to the explicit-SIMD tier ([`crate::simd`]) when the
-/// process-wide [`crate::simd::active`] path allows — bit-identical by
-/// construction, so call sites never need to care which tier ran.
 #[inline]
 pub(crate) fn dot8(a: &[f32], b: &[f32]) -> f32 {
-    crate::simd::dot8_on(crate::simd::active(), a, b)
-}
-
-/// The portable scalar body of [`dot8`] — the reference the SIMD tier is
-/// proven against, and the fallback it degrades to.
-#[inline]
-pub(crate) fn dot8_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; LANES];
     let main = a.len() / LANES * LANES;
@@ -223,24 +208,10 @@ pub(crate) fn dot8_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// columns (plain `dot8`) and any row-chunking all produce bit-identical
 /// results.
 pub(crate) fn gemm_nt_rows(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
-    gemm_nt_rows_on(crate::simd::active(), a, b, row0, out);
-}
-
-/// [`gemm_nt_rows`] with an explicit kernel tier, bypassing the dispatch
-/// cache. Exposed (hidden) so the determinism suite can prove every
-/// available [`SimdPath`](crate::simd::SimdPath) produces bit-identical
-/// output without racing on the process-wide dispatch override.
-#[doc(hidden)]
-pub fn gemm_nt_rows_on(
-    path: crate::simd::SimdPath,
-    a: &Matrix,
-    b: &Matrix,
-    row0: usize,
-    out: &mut [f32],
-) {
     let n = b.rows;
     let k = a.cols;
     let rows = out.len() / n;
+    let main = k / LANES * LANES;
     // Packed B panel: COLS rows of B, contiguous. One allocation per
     // chunk, reused across every (i, j0) iteration.
     let mut panel = vec![0.0f32; COLS * k];
@@ -254,61 +225,40 @@ pub fn gemm_nt_rows_on(
             let (b2, b3) = rest.split_at(k);
             for i in 0..rows {
                 let ar = a.row(row0 + i);
-                let vals = crate::simd::kernel4_on(path, ar, b0, b1, b2, b3);
-                out[i * n + j0..i * n + j0 + COLS].copy_from_slice(&vals);
+                let mut acc = [[0.0f32; LANES]; COLS];
+                for t0 in (0..main).step_by(LANES) {
+                    for l in 0..LANES {
+                        let x = ar[t0 + l];
+                        acc[0][l] += x * b0[t0 + l];
+                        acc[1][l] += x * b1[t0 + l];
+                        acc[2][l] += x * b2[t0 + l];
+                        acc[3][l] += x * b3[t0 + l];
+                    }
+                }
+                for (l, t) in (main..k).enumerate() {
+                    let x = ar[t];
+                    acc[0][l] += x * b0[t];
+                    acc[1][l] += x * b1[t];
+                    acc[2][l] += x * b2[t];
+                    acc[3][l] += x * b3[t];
+                }
+                for (c, lanes) in acc.into_iter().enumerate() {
+                    out[i * n + j0 + c] = reduce(lanes);
+                }
             }
         } else {
             // Remainder columns: same order via the one-row dot kernel.
             for j in j0..n {
                 let br = b.row(j);
                 for i in 0..rows {
-                    out[i * n + j] = crate::simd::dot8_on(path, a.row(row0 + i), br);
+                    out[i * n + j] = dot8(a.row(row0 + i), br);
                 }
             }
         }
     }
 }
 
-/// The portable scalar inner loop of the 4x8 micro-kernel: one `A` row
-/// against four packed `B` rows, four independent 8-lane accumulators.
-/// Per output element the accumulation order is exactly [`dot8`]'s. The
-/// explicit-SIMD siblings in [`crate::simd`] hold the same four
-/// accumulators in vector registers and are proven bit-identical.
-#[inline]
-pub(crate) fn kernel4_scalar(
-    ar: &[f32],
-    b0: &[f32],
-    b1: &[f32],
-    b2: &[f32],
-    b3: &[f32],
-) -> [f32; COLS] {
-    let k = ar.len();
-    let main = k / LANES * LANES;
-    let mut acc = [[0.0f32; LANES]; COLS];
-    for t0 in (0..main).step_by(LANES) {
-        for l in 0..LANES {
-            let x = ar[t0 + l];
-            acc[0][l] += x * b0[t0 + l];
-            acc[1][l] += x * b1[t0 + l];
-            acc[2][l] += x * b2[t0 + l];
-            acc[3][l] += x * b3[t0 + l];
-        }
-    }
-    for (l, t) in (main..k).enumerate() {
-        let x = ar[t];
-        acc[0][l] += x * b0[t];
-        acc[1][l] += x * b1[t];
-        acc[2][l] += x * b2[t];
-        acc[3][l] += x * b3[t];
-    }
-    let mut vals = [0.0f32; COLS];
-    for (v, lanes) in vals.iter_mut().zip(acc) {
-        *v = reduce(lanes);
-    }
-    vals
-}
-
-/// Squared L2 norm of a vector, accumulated in [`dot8`] order so that
+/// Squared L2 norm of a vector, accumulated in `dot8` order so that
 /// `norm_sq(v)` is bitwise the kernel's `<v, v>` — the identity
 /// `||p||^2 + ||p||^2 - 2<p, p> = 0` then holds *exactly* in `f32`.
 #[must_use]
@@ -465,6 +415,261 @@ mod tests {
         assert_eq!(gemm_fanout_jobs(usize::MAX, usize::MAX, 0), 1);
         // ...and neither does a single-row output, however wide.
         assert_eq!(gemm_fanout_jobs(1, usize::MAX, usize::MAX), 1);
+    }
+
+    /// The quiet NaN this architecture's invalid operations (0·∞, ∞−∞)
+    /// produce. Using it as the payload pool's *only* NaN keeps every NaN
+    /// in flight bit-identical: when two NaNs with different payloads meet,
+    /// hardware keeps the first source operand's payload, and the compiler
+    /// commutes float ops freely, so that order is not ours to pin.
+    fn canonical_nan() -> f32 {
+        #[cfg(target_arch = "x86_64")]
+        return f32::from_bits(0xffc0_0000); // x86 "real indefinite"
+        #[cfg(not(target_arch = "x86_64"))]
+        return f32::from_bits(0x7fc0_0000); // ARM/RISC-V default NaN
+    }
+
+    /// Adversarial payloads: ordinary values, signed zeros, the largest
+    /// and smallest normals, subnormals (Rust never enables FTZ/DAZ),
+    /// infinities and the canonical quiet NaN.
+    fn payload_pool() -> [f32; 12] {
+        [
+            0.0,
+            -0.0,
+            1.0,
+            -3.5,
+            1.0e-3,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 4.0,
+            f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            canonical_nan(),
+        ]
+    }
+
+    /// Cycles the payload pool with a salted stride so NaNs and
+    /// infinities land against every value class.
+    fn adversarial(len: usize, salt: usize) -> Vec<f32> {
+        let pool = payload_pool();
+        (0..len)
+            .map(|i| pool[i.wrapping_mul(7).wrapping_add(salt) % pool.len()])
+            .collect()
+    }
+
+    /// Reference model of the lane contract, written independently of the
+    /// kernels: zero-pad both operands to a multiple of eight, let lane
+    /// `l` sum the products at `t ≡ l (mod 8)` in increasing `t`, then
+    /// fold the lanes pairwise.
+    fn lane_model(a: &[f32], b: &[f32]) -> f32 {
+        let mut lanes = [0.0f32; LANES];
+        for t in 0..a.len().div_ceil(LANES) * LANES {
+            let x = a.get(t).copied().unwrap_or(0.0);
+            let y = b.get(t).copied().unwrap_or(0.0);
+            lanes[t % LANES] += x * y;
+        }
+        let q = [
+            lanes[0] + lanes[4],
+            lanes[1] + lanes[5],
+            lanes[2] + lanes[6],
+            lanes[3] + lanes[7],
+        ];
+        (q[0] + q[2]) + (q[1] + q[3])
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn dot8_of_empty_inputs_is_positive_zero() {
+        assert_eq!(dot8(&[], &[]).to_bits(), 0.0f32.to_bits());
+        assert_eq!(norm_sq(&[]).to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn dot8_matches_lane_model_on_every_tail_residue() {
+        // Lengths 1..=24 cover every `len % 8` residue with zero, one and
+        // two full 8-lane blocks in front of the tail.
+        for len in 1..=24 {
+            let a = adversarial(len, 0);
+            let b = adversarial(len, 3);
+            assert_eq!(
+                dot8(&a, &b).to_bits(),
+                lane_model(&a, &b).to_bits(),
+                "dot8 len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn dot8_tail_is_bitwise_zero_padding() {
+        // The documented tail contract: short lanes behave exactly as if
+        // the inputs were padded with zeros to a multiple of eight, signed
+        // zeros and negative products included.
+        for len in 1usize..=23 {
+            let a: Vec<f32> = (0..len)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        -0.0
+                    } else {
+                        0.75 - i as f32 * 0.5
+                    }
+                })
+                .collect();
+            let b: Vec<f32> = (0..len).map(|i| 1.25 * (i as f32) - 4.0).collect();
+            let padded = len.div_ceil(LANES) * LANES;
+            let mut ap = a.clone();
+            let mut bp = b.clone();
+            ap.resize(padded, 0.0);
+            bp.resize(padded, 0.0);
+            assert_eq!(
+                dot8(&a, &b).to_bits(),
+                dot8(&ap, &bp).to_bits(),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_zero_products_sum_to_positive_zero() {
+        // Lanes start at +0.0 and +0.0 + -0.0 is +0.0, so no accumulation
+        // of signed-zero products can surface a -0.0.
+        let neg = vec![-0.0f32; 11];
+        let one = vec![1.0f32; 11];
+        assert_eq!(dot8(&neg, &one).to_bits(), 0.0f32.to_bits());
+        assert_eq!(dot8(&[0.0], &[-1.0]).to_bits(), 0.0f32.to_bits());
+        assert_eq!(norm_sq(&neg).to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn subnormal_products_are_not_flushed() {
+        // Nine subnormal products (lane 0 takes two) sum exactly to a
+        // value that is itself subnormal: gradual underflow, no FTZ.
+        let tiny = f32::MIN_POSITIVE / 16.0;
+        let a = vec![tiny; 9];
+        let got = dot8(&a, &[1.0; 9]);
+        assert!(got.is_subnormal(), "{got:e} should stay subnormal");
+        assert_eq!(got.to_bits(), (tiny * 9.0).to_bits());
+    }
+
+    #[test]
+    fn infinities_propagate_and_opposing_infinities_cancel_to_nan() {
+        assert_eq!(dot8(&[f32::INFINITY, 1.0], &[1.0, 1.0]), f32::INFINITY);
+        assert_eq!(norm_sq(&[f32::NEG_INFINITY, 2.0]), f32::INFINITY);
+        // +inf in lane 0 and -inf in lane 1 only meet in the fold.
+        assert!(dot8(&[f32::INFINITY, f32::NEG_INFINITY], &[1.0, 1.0]).is_nan());
+        assert!(dot8(&[f32::INFINITY], &[0.0]).is_nan());
+    }
+
+    #[test]
+    fn all_nan_operands_yield_the_canonical_nan() {
+        // Every multiply and every add is a NaN-on-NaN meet; with
+        // same-bits NaNs the result is that NaN, whatever the order.
+        let nan = vec![canonical_nan(); 11];
+        assert_eq!(dot8(&nan, &nan).to_bits(), canonical_nan().to_bits());
+        assert_eq!(norm_sq(&nan).to_bits(), canonical_nan().to_bits());
+    }
+
+    #[test]
+    fn lone_nan_payload_survives_bitwise() {
+        // One distinct-payload quiet NaN among finite values rides through
+        // the multiply, its lane and the fold untouched.
+        let payload = f32::from_bits(0x7fc0_1234);
+        for len in [1usize, 7, 8, 9, 23] {
+            for pos in [0, len / 2, len - 1] {
+                let mut a: Vec<f32> = (0..len).map(|i| 0.25 * (i as f32 + 1.0)).collect();
+                a[pos] = payload;
+                let b: Vec<f32> = (0..len).map(|i| 1.5 - (i as f32) * 0.125).collect();
+                assert_eq!(
+                    dot8(&a, &b).to_bits(),
+                    payload.to_bits(),
+                    "lone NaN at {pos}/{len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_uses_the_fixed_pairwise_tree() {
+        // 1e8 + 1 rounds back to 1e8 in f32, so a left-to-right fold
+        // loses both ones while the pairwise tree cancels the large
+        // lanes first and keeps them.
+        let acc = [1.0e8, 1.0, -1.0e8, 1.0, 0.0, 0.0, 0.0, 0.0];
+        assert_eq!(reduce(acc), 2.0);
+        assert_eq!(acc.iter().fold(0.0f32, |s, x| s + x), 1.0);
+    }
+
+    #[test]
+    fn gemm_nt_rows_fills_a_row_offset_window() {
+        // A chunk starting at row 4 must hold exactly rows 4..7 of the
+        // whole product, across wide blocks and remainder columns.
+        let k = 13;
+        let a = Matrix::from_vec(9, k, (0..9 * k).map(|i| (i as f32 * 0.37).sin()).collect());
+        let b = Matrix::from_vec(6, k, (0..6 * k).map(|i| (i as f32 * 0.11).cos()).collect());
+        let full = gemm_nt_jobs(&a, &b, 1);
+        let mut window = vec![0.0f32; 3 * 6];
+        gemm_nt_rows(&a, &b, 4, &mut window);
+        assert_eq!(bits(&window), bits(&full.as_slice()[4 * 6..7 * 6]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// dot8 against the lane model over random lengths (every tail
+        /// and the empty input) drawn from the adversarial pool. Drawn as
+        /// index pairs so both operands share a length but not payloads.
+        #[test]
+        fn dot8_matches_lane_model_bitwise(
+            pairs in proptest::collection::vec((0usize..1000, 0usize..1000), 0..64)
+        ) {
+            let pool = payload_pool();
+            let a: Vec<f32> = pairs.iter().map(|&(i, _)| pool[i % pool.len()]).collect();
+            let b: Vec<f32> = pairs.iter().map(|&(_, j)| pool[j % pool.len()]).collect();
+            prop_assert_eq!(dot8(&a, &b).to_bits(), lane_model(&a, &b).to_bits());
+        }
+
+        /// norm_sq is the lane model's self-product, bit for bit.
+        #[test]
+        fn norm_sq_is_bitwise_self_dot(
+            picks in proptest::collection::vec(0usize..1000, 0..64)
+        ) {
+            let pool = payload_pool();
+            let v: Vec<f32> = picks.iter().map(|&i| pool[i % pool.len()]).collect();
+            prop_assert_eq!(norm_sq(&v).to_bits(), lane_model(&v, &v).to_bits());
+        }
+
+        /// The whole micro-kernel (packed 4-wide panels, remainder
+        /// columns, every k-tail including k = 0) over odd shapes and
+        /// adversarial payloads.
+        #[test]
+        fn gemm_nt_rows_matches_lane_model_bitwise(
+            m in 1usize..24,
+            n in 1usize..14,
+            k in 0usize..40,
+            salt in 0usize..1000,
+        ) {
+            let a = Matrix::from_vec(m, k, adversarial(m * k, salt));
+            let b = Matrix::from_vec(n, k, adversarial(n * k, salt + 1));
+            let mut got = vec![0.0f32; m * n];
+            gemm_nt_rows(&a, &b, 0, &mut got);
+            let want: Vec<f32> = (0..m)
+                .flat_map(|i| (0..n).map(move |j| (i, j)))
+                .map(|(i, j)| lane_model(a.row(i), b.row(j)))
+                .collect();
+            prop_assert_eq!(bits(&got), bits(&want), "gemm {}x{}x{}", m, n, k);
+        }
+
+        /// A sum of squares of finite values is never negative (it may
+        /// overflow to +inf, never to NaN or below zero).
+        #[test]
+        fn norm_sq_of_finite_input_is_never_negative(
+            v in proptest::collection::vec(-1.0e20f32..1.0e20, 0..40)
+        ) {
+            let n = norm_sq(&v);
+            prop_assert!(n >= 0.0, "norm_sq = {}", n);
+        }
     }
 
     proptest! {

@@ -2,3 +2,5 @@
 //!
 //! The test sources live at the workspace root (see the `[[test]]` entries
 //! in this crate's manifest) so they can exercise every crate together.
+
+#![forbid(unsafe_code)]

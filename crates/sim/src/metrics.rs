@@ -372,19 +372,6 @@ impl MetricsSnapshot {
         self.set(name, MetricValue::Counter { value });
     }
 
-    /// Shorthand for inserting a point-in-time [`MetricValue::Gauge`]
-    /// (`mean == last == value`) — process-level facts recorded once per
-    /// run, like the selected SIMD dispatch path.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.set(
-            name,
-            MetricValue::Gauge {
-                mean: value,
-                last: value,
-            },
-        );
-    }
-
     /// The metric under `name`, if present.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&MetricValue> {

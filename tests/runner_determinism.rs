@@ -183,236 +183,6 @@ fn full_suite_stdout_is_byte_identical_with_and_without_result_cache() {
     );
 }
 
-mod simd_bitwise {
-    //! The explicit-SIMD kernel tier must be *bit-for-bit* equal to the
-    //! scalar lane model — not approximately, not "up to reassociation".
-    //! Equality must hold on every payload `f32` can carry: odd lengths
-    //! and every tail residue, empty inputs, subnormals, signed zeros,
-    //! infinities and NaN payloads. `to_bits()` comparisons throughout.
-
-    use proptest::prelude::*;
-    use reach_cbir::linalg::{gemm_nt_rows_on, Matrix};
-    use reach_cbir::simd::{self, SimdPath};
-
-    /// Every non-scalar path this host can execute (empty on exotic
-    /// architectures — the properties then hold vacuously and the CI
-    /// matrix provides the cross-arch coverage).
-    fn explicit_paths() -> Vec<SimdPath> {
-        [SimdPath::Avx2, SimdPath::Neon]
-            .into_iter()
-            .filter(|p| p.supported())
-            .collect()
-    }
-
-    /// The quiet NaN this architecture's invalid operations (0·∞, ∞−∞)
-    /// produce. Using it as the pool's *only* NaN keeps every NaN in
-    /// flight bit-identical, which is what makes NaN coverage sound: when
-    /// two NaNs with *different* payloads meet in a mul/add, hardware
-    /// propagates the first source operand's payload — and LLVM commutes
-    /// commutative float ops freely, so scalar codegen's operand order is
-    /// not ours to pin. Same-bits NaNs make every meet order-independent;
-    /// distinct-payload propagation is covered separately by the
-    /// single-NaN test below.
-    fn canonical_nan() -> f32 {
-        #[cfg(target_arch = "x86_64")]
-        return f32::from_bits(0xffc0_0000); // x86 "real indefinite"
-        #[cfg(not(target_arch = "x86_64"))]
-        return f32::from_bits(0x7fc0_0000); // ARM/RISC-V default NaN
-    }
-
-    /// Adversarial payload pool: ordinary values, signed zeros, the
-    /// largest/smallest normals, subnormals (Rust never enables FTZ/DAZ,
-    /// so lane arithmetic must honor gradual underflow), infinities and
-    /// the arch-canonical quiet NaN.
-    fn payload_pool() -> Vec<f32> {
-        vec![
-            0.0,
-            -0.0,
-            1.0,
-            -3.5,
-            1.0e-3,
-            f32::MAX,
-            f32::MIN_POSITIVE,       // smallest normal
-            f32::MIN_POSITIVE / 4.0, // subnormal
-            f32::from_bits(1),       // smallest subnormal
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            canonical_nan(),
-        ]
-    }
-
-    /// Deterministic adversarial fill: cycles the payload pool with a
-    /// salted stride so NaNs/infinities land against every value class.
-    fn adversarial(len: usize, salt: usize) -> Vec<f32> {
-        let pool = payload_pool();
-        (0..len)
-            .map(|i| pool[(i.wrapping_mul(7).wrapping_add(salt)) % pool.len()])
-            .collect()
-    }
-
-    #[test]
-    fn empty_inputs_agree_on_every_path() {
-        for p in explicit_paths() {
-            assert_eq!(simd::dot8_on(p, &[], &[]).to_bits(), 0.0f32.to_bits());
-            assert_eq!(simd::norm_sq_on(p, &[]).to_bits(), 0.0f32.to_bits());
-        }
-    }
-
-    #[test]
-    fn every_tail_residue_agrees_bitwise() {
-        // Lengths 1..=24 cover every `len % 8` residue with zero, one and
-        // two full 8-lane blocks in front of the tail.
-        for len in 1..=24 {
-            let a = adversarial(len, 0);
-            let b = adversarial(len, 3);
-            let want = simd::dot8_on(SimdPath::Scalar, &a, &b);
-            for p in explicit_paths() {
-                let got = simd::dot8_on(p, &a, &b);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "dot8 len {len} diverged on {}",
-                    p.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn nan_on_nan_meets_agree_bitwise() {
-        // All-NaN operands: every multiply and every accumulating add is
-        // a NaN-on-NaN meet. With same-bits NaNs the propagated result is
-        // order-independent, so scalar and SIMD must agree exactly.
-        let nan = vec![canonical_nan(); 11];
-        let want = simd::dot8_on(SimdPath::Scalar, &nan, &nan);
-        assert!(want.is_nan());
-        for p in explicit_paths() {
-            assert_eq!(simd::dot8_on(p, &nan, &nan).to_bits(), want.to_bits());
-            assert_eq!(
-                simd::norm_sq_on(p, &nan).to_bits(),
-                simd::norm_sq_on(SimdPath::Scalar, &nan).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn lone_nan_payload_survives_bitwise() {
-        // A single distinct-payload quiet NaN among finite values: only
-        // one NaN is ever in flight, so its payload must ride through the
-        // multiply and the whole accumulation untouched — identically on
-        // every path. (Two *different* payloads meeting is deliberately
-        // out of scope: hardware keeps the first source operand's payload
-        // and LLVM commutes float ops freely, so that ordering is not
-        // observable-stable even between two scalar builds.)
-        let payload = f32::from_bits(0x7fc0_1234);
-        for len in [1usize, 7, 8, 9, 23] {
-            for pos in [0, len / 2, len - 1] {
-                let mut a: Vec<f32> = (0..len).map(|i| 0.25 * (i as f32 + 1.0)).collect();
-                a[pos] = payload;
-                let b: Vec<f32> = (0..len).map(|i| 1.5 - (i as f32) * 0.125).collect();
-                let want = simd::dot8_on(SimdPath::Scalar, &a, &b);
-                assert!(want.is_nan());
-                for p in explicit_paths() {
-                    assert_eq!(
-                        simd::dot8_on(p, &a, &b).to_bits(),
-                        want.to_bits(),
-                        "lone NaN at {pos}/{len} diverged on {}",
-                        p.name()
-                    );
-                }
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// dot8: scalar vs every explicit path over random lengths
-        /// (covering all tails and the empty input) drawn from the
-        /// adversarial payload pool. Generated as index pairs so both
-        /// operands share a length but draw payloads independently.
-        #[test]
-        fn dot8_matches_scalar_bitwise(
-            pairs in proptest::collection::vec(
-                (0usize..1000, 0usize..1000), 0..64)
-        ) {
-            let pool = payload_pool();
-            let a: Vec<f32> =
-                pairs.iter().map(|&(i, _)| pool[i % pool.len()]).collect();
-            let b: Vec<f32> =
-                pairs.iter().map(|&(_, j)| pool[j % pool.len()]).collect();
-            let want = simd::dot8_on(SimdPath::Scalar, &a, &b);
-            for p in explicit_paths() {
-                let got = simd::dot8_on(p, &a, &b);
-                prop_assert_eq!(got.to_bits(), want.to_bits(),
-                    "dot8 diverged on {}", p.name());
-            }
-        }
-
-        /// norm_sq: same property on the self-product.
-        #[test]
-        fn norm_sq_matches_scalar_bitwise(
-            picks in proptest::collection::vec(0usize..1000, 0..64)
-        ) {
-            let pool = payload_pool();
-            let v: Vec<f32> =
-                picks.iter().map(|&i| pool[i % pool.len()]).collect();
-            let want = simd::norm_sq_on(SimdPath::Scalar, &v);
-            for p in explicit_paths() {
-                prop_assert_eq!(simd::norm_sq_on(p, &v).to_bits(),
-                    want.to_bits(), "norm_sq diverged on {}", p.name());
-            }
-        }
-
-        /// The full micro-kernel (packed 4-wide panels, remainder
-        /// columns, every k-tail) over odd shapes and adversarial
-        /// payloads: whole-matrix to_bits equality per path.
-        #[test]
-        fn gemm_micro_kernel_matches_scalar_bitwise(
-            m in 1usize..24,
-            n in 1usize..14,
-            k in 0usize..40,
-            salt in 0usize..1000,
-        ) {
-            let a = Matrix::from_vec(m, k, adversarial(m * k, salt));
-            let b = Matrix::from_vec(n, k, adversarial(n * k, salt + 1));
-            let mut want = vec![0.0f32; m * n];
-            gemm_nt_rows_on(SimdPath::Scalar, &a, &b, 0, &mut want);
-            for p in explicit_paths() {
-                let mut got = vec![0.0f32; m * n];
-                gemm_nt_rows_on(p, &a, &b, 0, &mut got);
-                prop_assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "gemm {}x{}x{} diverged on {}", m, n, k, p.name());
-            }
-        }
-    }
-
-    /// The in-process form of the CI `REACH_SIMD=off` vs `auto` A/B: the
-    /// whole experiments suite rendered with the kernel tier pinned to
-    /// scalar, then pinned to the widest supported path, must produce the
-    /// same bytes. (Flipping the pin is benign for concurrently running
-    /// tests — every path computes identical bits, which is exactly what
-    /// this test enforces.)
-    #[test]
-    fn full_suite_stdout_identical_scalar_vs_simd() {
-        let best = simd::best_supported();
-        simd::force(Some(SimdPath::Scalar));
-        let scalar = super::full_suite_stdout(&reach::SequentialExecutor);
-        simd::force(Some(best));
-        let vectored = super::full_suite_stdout(&reach::SequentialExecutor);
-        simd::force(None);
-        assert!(!scalar.is_empty());
-        assert_eq!(
-            scalar,
-            vectored,
-            "suite stdout diverged between scalar and {} kernels",
-            best.name()
-        );
-    }
-}
-
 mod kernel_chunking {
     //! Parallel kernels must be *bit-for-bit* equal to their sequential
     //! form at any worker count — the engine-level determinism contract
@@ -527,6 +297,44 @@ mod kernel_chunking {
                         "({}, {}): {} vs {}", i, j, got.row(i)[j], want);
                 }
             }
+        }
+
+        /// Row-chunking stays bit-exact on non-finite and subnormal
+        /// payloads too: row counts straddle the 64-row chunk boundary
+        /// and operands cycle through signed zeros, subnormals,
+        /// infinities and one quiet NaN, so NaNs and infinities cross
+        /// every chunk edge. Only the NaN that 0·∞ and ∞−∞ produce on
+        /// this architecture is used, so every NaN in flight has the
+        /// same bits and no result depends on operand order.
+        #[test]
+        fn gemm_chunking_is_bitwise_on_non_finite_payloads(
+            m in 1usize..150,
+            n in 1usize..14,
+            k in 1usize..24,
+            jobs in 2usize..9,
+            salt in 0usize..1000,
+        ) {
+            #[cfg(target_arch = "x86_64")]
+            let nan = f32::from_bits(0xffc0_0000);
+            #[cfg(not(target_arch = "x86_64"))]
+            let nan = f32::from_bits(0x7fc0_0000);
+            let pool = [
+                0.0, -0.0, 1.0, -3.5, 1.0e-3, f32::MAX, f32::MIN_POSITIVE,
+                f32::MIN_POSITIVE / 4.0, f32::INFINITY, f32::NEG_INFINITY, nan,
+            ];
+            let fill = |len: usize, salt: usize| -> Vec<f32> {
+                (0..len)
+                    .map(|i| pool[i.wrapping_mul(7).wrapping_add(salt) % pool.len()])
+                    .collect()
+            };
+            let a = Matrix::from_vec(m, k, fill(m * k, salt));
+            let b = Matrix::from_vec(n, k, fill(n * k, salt + 1));
+            let seq = gemm_nt_jobs(&a, &b, 1);
+            let par = gemm_nt_jobs(&a, &b, jobs);
+            prop_assert_eq!(
+                seq.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                par.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
         }
 
         /// Decomposed batch distances (GEMM + broadcast norms) are
