@@ -38,6 +38,7 @@ SPEEDUP_BARS = {
     "reach-bench-pr8-v1": 3.0,
     "reach-bench-pr9-v1": 1.3,
     "reach-bench-pr12-v1": 1.5,
+    "reach-bench-pr14-v1": 1.15,
 }
 
 DISK_CACHE_LINE = re.compile(r"(\d+) disk hit\(s\), (\d+) disk miss\(es\)")
@@ -604,6 +605,13 @@ def selftest():
     bad = dict(good_record, schema="reach-bench-pr12-v1",
                after={"wall_s": 0.24}, speedup=1.25)
     rejects(validate_bench, bad, "pr12 speedup below the 1.5x bar")
+
+    validate_bench({"schema": "reach-bench-pr14-v1",
+                    "before": {"wall_s": 1.6}, "after": {"wall_s": 1.25},
+                    "speedup": 1.28})
+    bad = dict(good_record, schema="reach-bench-pr14-v1",
+               after={"wall_s": 0.28}, speedup=1.07)
+    rejects(validate_bench, bad, "pr14 speedup below the 1.15x bar")
 
     good_suite = SUITE_HEADER + "\n  Feature extraction  552 MB\nFIG 8.\n"
     validate_suite([("j1", good_suite), ("j4", good_suite),

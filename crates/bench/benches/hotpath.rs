@@ -1,7 +1,8 @@
 //! Microbenchmarks of the simulator hot paths: event-queue throughput
 //! (calendar queue), machine steady-state event processing, the parallel
-//! CBIR kernels (GEMM micro-kernel, k-means, top-K), the cross-batch
-//! distance cache, and the batched DDR stream timing model.
+//! CBIR kernels (GEMM micro-kernel, k-means, product-quantizer training,
+//! top-K), the cross-batch distance cache, and the batched DDR stream
+//! timing model.
 //!
 //! Set `REACH_BENCH_QUICK=1` to shrink every problem size (the CI
 //! perf-smoke mode); the full sizes are meant for local before/after
@@ -130,6 +131,23 @@ fn bench_kmeans(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_pq_train(c: &mut Criterion) {
+    use reach_cbir::{Dataset, ProductQuantizer};
+
+    // The `extension-recall` shape, unscaled in quick mode too: 6000 x 32
+    // points, 8 subspaces of 64 codewords, each subspace's Lloyd loop one
+    // work item.
+    let mut g = c.benchmark_group("hotpath/pq");
+    g.sample_size(10);
+    let mut rng = seeded(43);
+    let ds = Dataset::gaussian_mixture(6_000, 32, 48, 0.8, &mut rng);
+    g.throughput(Throughput::Elements(6_000 * 32));
+    g.bench_function("train_recall_shape_8x64", |b| {
+        b.iter(|| black_box(ProductQuantizer::train(&ds.points, 8, 64, &mut rng).code_bytes()));
+    });
+    g.finish();
+}
+
 fn bench_cache(c: &mut Criterion) {
     use reach_cbir::linalg::batch_dist_sq;
     use reach_cbir::QueryContext;
@@ -208,6 +226,7 @@ criterion_group!(
     bench_machine,
     bench_gemm,
     bench_kmeans,
+    bench_pq_train,
     bench_cache,
     bench_ddr_stream,
     bench_topk

@@ -81,10 +81,11 @@ impl BinaryCoder {
         words
     }
 
-    /// Encodes every row of `data`.
+    /// Encodes every row of `data`, in fixed row chunks across the kernel
+    /// workers.
     #[must_use]
     pub fn encode_batch(&self, data: &Matrix) -> Vec<BinaryCode> {
-        (0..data.rows()).map(|i| self.encode(data.row(i))).collect()
+        crate::par::map_rows(data.rows(), |i| self.encode(data.row(i)))
     }
 
     /// Hamming distance between two codes.

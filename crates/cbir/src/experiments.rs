@@ -447,6 +447,59 @@ const RECALL_METHODS: [&str; 5] = [
     "binary codes, 256 bits",
 ];
 
+/// The recall experiment's dataset, queries and trained codecs, built by
+/// [`recall_codecs`].
+struct RecallCodecs {
+    ds: crate::dataset::Dataset,
+    queries: crate::linalg::Matrix,
+    index: crate::ivf::IvfIndex,
+    /// Product quantizers at two compression points, with the dataset's
+    /// codes.
+    pq: Vec<(crate::pq::ProductQuantizer, Vec<Vec<u8>>)>,
+    /// Binary coders at two code lengths, with the dataset's codes.
+    binary: Vec<(crate::binary::BinaryCoder, Vec<crate::binary::BinaryCode>)>,
+}
+
+/// Synthesizes the recall experiment's dataset and queries and trains its
+/// index and codecs, drawing from the experiment's random stream in this
+/// fixed order. The searches that follow draw nothing.
+fn recall_codecs() -> RecallCodecs {
+    use crate::binary::BinaryCoder;
+    use crate::dataset::Dataset;
+    use crate::ivf::IvfIndex;
+    use crate::pq::ProductQuantizer;
+    use reach_sim::rng::derived;
+
+    let mut rng = derived(reach_sim::rng::DEFAULT_SEED, "recall-vs-compression");
+    let dim = 32;
+    let ds = Dataset::gaussian_mixture(6_000, dim, 48, 0.8, &mut rng);
+    let (queries, _) = ds.queries(32, 0.2, &mut rng);
+    let index = IvfIndex::build(&ds.points, 48, &mut rng);
+    let pq = [(8usize, 64usize), (4, 16)]
+        .into_iter()
+        .map(|(subs, cents)| {
+            let pq = ProductQuantizer::train(&ds.points, subs, cents, &mut rng);
+            let codes = pq.encode_batch(&ds.points);
+            (pq, codes)
+        })
+        .collect();
+    let binary = [64usize, 256]
+        .into_iter()
+        .map(|bits| {
+            let coder = BinaryCoder::new(dim, bits, &mut rng);
+            let codes = coder.encode_batch(&ds.points);
+            (coder, codes)
+        })
+        .collect();
+    RecallCodecs {
+        ds,
+        queries,
+        index,
+        pq,
+        binary,
+    }
+}
+
 /// The paper's Section IV-A argument, executed: lossy compression (binary
 /// codes, product quantization) cuts bytes visited by 8-64x but pays in
 /// recall, while the exact IVF + rerank pipeline ReACH accelerates keeps
@@ -459,18 +512,17 @@ const RECALL_METHODS: [&str; 5] = [
 /// [`recall_vs_compression_with`], which wraps it in a cacheable scenario.
 #[must_use]
 pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
-    use crate::binary::BinaryCoder;
-    use crate::dataset::{recall, Dataset};
-    use crate::ivf::IvfIndex;
-    use crate::pq::ProductQuantizer;
-    use reach_sim::rng::derived;
+    use crate::dataset::recall;
 
-    let mut rng = derived(reach_sim::rng::DEFAULT_SEED, "recall-vs-compression");
-    let dim = 32;
-    let ds = Dataset::gaussian_mixture(6_000, dim, 48, 0.8, &mut rng);
-    let (queries, _) = ds.queries(32, 0.2, &mut rng);
+    let RecallCodecs {
+        ds,
+        queries,
+        index,
+        pq,
+        binary,
+    } = recall_codecs();
     let truth = ds.ground_truth(&queries, 10);
-    let full_bytes = dim as f64 * 4.0;
+    let full_bytes = ds.points.cols() as f64 * 4.0;
 
     // One cross-batch cache for the whole experiment: centroid and
     // codeword norms are computed once and reused by every query.
@@ -478,7 +530,6 @@ pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
     let mut rows = Vec::new();
 
     // Exact IVF + rerank (what ReACH accelerates), nprobe = 1/6 of cells.
-    let index = IvfIndex::build(&ds.points, 48, &mut rng);
     let exact = index.search_cached(&ctx, &ds.points, &queries, 8, 10, None);
     rows.push(RecallCompressionRow {
         method: RECALL_METHODS[0].into(),
@@ -487,31 +538,24 @@ pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
     });
 
     // Product quantization at two compression points.
-    for (subs, cents, label) in [
-        (8usize, 64usize, RECALL_METHODS[1]),
-        (4, 16, RECALL_METHODS[2]),
-    ] {
-        let pq = ProductQuantizer::train(&ds.points, subs, cents, &mut rng);
-        let codes = pq.encode_batch(&ds.points);
+    for ((pq, codes), label) in pq.iter().zip(&RECALL_METHODS[1..3]) {
         let results: Vec<Vec<usize>> = (0..queries.rows())
-            .map(|qi| pq.search_cached(&ctx, &codes, queries.row(qi), 10))
+            .map(|qi| pq.search_cached(&ctx, codes, queries.row(qi), 10))
             .collect();
         rows.push(RecallCompressionRow {
-            method: label.into(),
+            method: (*label).into(),
             bytes_per_vector: pq.code_bytes() as f64,
             recall_at_10: recall(&results, &truth, 10).recall_at_k,
         });
     }
 
     // Binary codes at two lengths.
-    for (bits, label) in [(64usize, RECALL_METHODS[3]), (256, RECALL_METHODS[4])] {
-        let coder = BinaryCoder::new(dim, bits, &mut rng);
-        let codes = coder.encode_batch(&ds.points);
+    for ((coder, codes), label) in binary.iter().zip(&RECALL_METHODS[3..5]) {
         let results: Vec<Vec<usize>> = (0..queries.rows())
-            .map(|qi| coder.search(&codes, queries.row(qi), 10))
+            .map(|qi| coder.search(codes, queries.row(qi), 10))
             .collect();
         rows.push(RecallCompressionRow {
-            method: label.into(),
+            method: (*label).into(),
             bytes_per_vector: coder.code_bytes() as f64,
             recall_at_10: recall(&results, &truth, 10).recall_at_k,
         });
@@ -667,6 +711,72 @@ pub fn table4() -> reach_energy::EnergyPresets {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over the bytes fed to it.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn bytes(&mut self, b: &[u8]) {
+            for &x in b {
+                self.0 ^= u64::from(x);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn f32s(&mut self, v: &[f32]) {
+            for x in v {
+                self.bytes(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn recall_codecs_are_bit_identical_to_the_pinned_digest() {
+        // The golden stdout prints recall to three decimals, which cannot
+        // see a flipped codebook bit; this chain of digests can. Each
+        // value folds in every bit of one trained codec (IVF centroids and
+        // postings, each PQ codebook and its codes, each binary code set)
+        // on top of the ones before it.
+        let RecallCodecs {
+            index, pq, binary, ..
+        } = recall_codecs();
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut chain = Vec::new();
+        h.f32s(index.centroids().as_slice());
+        for c in 0..index.clusters() {
+            for &i in index.posting(c) {
+                h.bytes(&(i as u64).to_le_bytes());
+            }
+        }
+        chain.push(h.0);
+        for (pq, codes) in &pq {
+            for c in 0..pq.codewords() {
+                h.f32s(&pq.decode(&vec![c as u8; pq.subspaces()]));
+            }
+            for code in codes {
+                h.bytes(code);
+            }
+            chain.push(h.0);
+        }
+        for (_, codes) in &binary {
+            for code in codes {
+                for w in code {
+                    h.bytes(&w.to_le_bytes());
+                }
+            }
+            chain.push(h.0);
+        }
+        assert_eq!(
+            chain,
+            [
+                0xa521_a7dc_fb98_09b0,
+                0x710a_169a_cfab_1f4f,
+                0xd282_925f_7804_f52b,
+                0x4ff2_3122_d795_eefc,
+                0x27ec_1e67_bc8b_7f66,
+            ]
+        );
+    }
 
     #[test]
     fn fig8_movement_dominates() {

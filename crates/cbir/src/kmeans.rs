@@ -3,7 +3,7 @@
 //! The paper preprocesses the database "with k-means to obtain 1000 cluster
 //! centroids" during the offline stage; this is that stage.
 
-use crate::linalg::{dist_sq, gemm_nt_rows, norm_sq, Matrix};
+use crate::linalg::{dist_sq, norm_sq, ArgMin, Matrix, Panels, PANEL};
 use rand::Rng;
 
 /// Result of a clustering run.
@@ -40,38 +40,47 @@ pub struct Clustering {
 /// Panics if `k` is zero or exceeds the number of points.
 #[must_use]
 pub fn kmeans(points: &Matrix, k: usize, max_iters: usize, rng: &mut impl Rng) -> Clustering {
-    let n = points.rows();
-    // The assignment scan is embarrassingly parallel per point; fan out in
-    // fixed chunks (see `crate::par`) when the scan is worth a thread
-    // spawn. The FLOP estimate saturates, same as `gemm_fanout_jobs` —
-    // adversarial shapes must not overflow the gate.
-    let flops = n.saturating_mul(k).saturating_mul(points.cols());
-    let assign_jobs = if n > crate::par::CHUNK_ROWS && flops >= 1 << 20 {
-        crate::par::kernel_jobs()
-    } else {
-        1
-    };
-    kmeans_jobs(points, k, max_iters, rng, assign_jobs)
+    let seeds = seed(points, k, rng);
+    lloyd(points, seeds, max_iters)
 }
 
-/// [`kmeans`] with an explicit assignment worker count, bypassing the size
-/// gate. Exposed (hidden) so the determinism suite can prove the parallel
-/// and sequential assignment paths produce bit-identical clusterings.
+/// [`kmeans`] of every point set in `sets`, each into `k` clusters, with
+/// an explicit worker count. Every set is seeded first, in order, from
+/// `rng` (seeding is the only part that draws from it, so the draws are
+/// exactly those of calling [`kmeans`] on each set in turn); then each
+/// set's Lloyd loop runs as one work item of [`crate::par::run_items`].
+/// A Lloyd loop is a pure function of its set and seeds, so the result is
+/// bit-identical at any worker count. Exposed (hidden) so the determinism
+/// suite can prove it.
+///
+/// # Panics
+///
+/// Panics if `k` is zero or exceeds the number of points of a set.
 #[doc(hidden)]
 #[must_use]
-#[allow(clippy::needless_range_loop)] // parallel-indexed arrays; enumerate obscures
-pub fn kmeans_jobs(
-    points: &Matrix,
+pub fn kmeans_each_jobs(
+    sets: &[Matrix],
     k: usize,
     max_iters: usize,
     rng: &mut impl Rng,
-    assign_jobs: usize,
-) -> Clustering {
+    jobs: usize,
+) -> Vec<Clustering> {
+    let seeds: Vec<Matrix> = sets.iter().map(|points| seed(points, k, rng)).collect();
+    let mut out: Vec<Option<Clustering>> = vec![None; sets.len()];
+    let items: Vec<_> = out.iter_mut().zip(sets).zip(seeds).collect();
+    crate::par::run_items(items, jobs, |((slot, points), seeds)| {
+        *slot = Some(lloyd(points, seeds, max_iters));
+    });
+    out.into_iter()
+        .map(|c| c.expect("every set clustered"))
+        .collect()
+}
+
+/// k-means++ seeding: the `k x d` initial centroids.
+fn seed(points: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
     let n = points.rows();
     let d = points.cols();
     assert!(k > 0 && k <= n, "kmeans: k={k} out of range for {n} points");
-
-    // --- k-means++ seeding ---
     let mut centroids = Matrix::zeros(k, d);
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(points.row(first));
@@ -94,62 +103,90 @@ pub fn kmeans_jobs(
             }
             pick
         };
-        centroids.row_mut(c).copy_from_slice(points.row(chosen));
-        for i in 0..n {
-            let nd = dist_sq(points.row(i), centroids.row(c));
-            if nd < d2[i] {
-                d2[i] = nd;
-            }
+        let chosen = points.row(chosen);
+        centroids.row_mut(c).copy_from_slice(chosen);
+        for (i, best) in d2.iter_mut().enumerate() {
+            let nd = dist_sq(points.row(i), chosen);
+            *best = if nd < *best { nd } else { *best };
         }
     }
+    centroids
+}
 
-    // --- Lloyd iterations ---
+/// The nearest centroid of every point and its decomposed distance
+/// `||p||^2 + ||c||^2 - 2<p, c>`, one point at a time through every
+/// centroid panel.
+fn assign(
+    points: &Matrix,
+    p_norms: &[f32],
+    panels: &Panels,
+    c_norms: &[f32],
+    assignments: &mut [usize],
+    best_dists: &mut [f32],
+) {
+    let mut dots = vec![0.0f32; c_norms.len()];
+    for (i, (slot, dist)) in assignments
+        .iter_mut()
+        .zip(best_dists.iter_mut())
+        .enumerate()
+    {
+        panels.row_dots(points.row(i), &mut dots);
+        let p_norm = p_norms[i];
+        let mut argmin = ArgMin::new();
+        for (dots, cn) in dots.chunks_exact(PANEL).zip(c_norms.chunks_exact(PANEL)) {
+            let mut d = [0.0f32; PANEL];
+            for c in 0..PANEL {
+                d[c] = p_norm + cn[c] - 2.0 * dots[c];
+            }
+            argmin = argmin.push(d);
+        }
+        (*slot, *dist) = argmin.finish();
+    }
+}
+
+/// Lloyd's iterations from `centroids` until convergence or `max_iters`.
+/// Draws nothing from an RNG.
+///
+/// The assignment is the decomposed distance (Equation 1) fused with the
+/// column-panel GEMM kernel: point norms are computed once, the centroids
+/// are packed once per iteration, and each point streams through the
+/// panels keeping an 8-lane running argmin. Every dot and norm uses the
+/// kernel's single accumulation order and the argmin is the strict-`<`
+/// scan in centroid order, so the clustering is a pure function of the
+/// inputs.
+#[allow(clippy::needless_range_loop)] // parallel-indexed arrays; enumerate obscures
+fn lloyd(points: &Matrix, mut centroids: Matrix, max_iters: usize) -> Clustering {
+    let n = points.rows();
+    let d = points.cols();
+    let k = centroids.rows();
+    assert!(
+        u32::try_from(k).is_ok(),
+        "kmeans: k={k} overflows the argmin's u32 column indices"
+    );
+    let p_norms: Vec<f32> = (0..n).map(|i| norm_sq(points.row(i))).collect();
     let mut assignments = vec![0usize; n];
     let mut best_dists = vec![0.0f32; n];
-    // The assignment runs through the shared GEMM micro-kernel as a
-    // decomposed distance (Equation 1): per fixed 64-row chunk, one
-    // points-x-centroids dot-product panel plus precomputed norms.
-    // Chunk boundaries are fixed (not worker-count dependent), every dot
-    // and norm uses the kernel's single accumulation order, and the
-    // argmin scans centroids in index order with a strict `<`, so the
-    // clustering is byte-identical at any worker count.
+    // Padding columns of the last panel get a NaN norm: their distance is
+    // NaN, which never wins the strict `<`.
+    let mut c_norms = vec![f32::NAN; k.div_ceil(PANEL) * PANEL];
     let mut inertia = f64::INFINITY;
     let mut iterations = 0;
     for it in 0..max_iters {
         iterations = it + 1;
         // Assign.
-        {
-            let centroids = &centroids;
-            let c_norms: Vec<f32> = (0..k).map(|c| norm_sq(centroids.row(c))).collect();
-            let c_norms = &c_norms;
-            let chunks: Vec<(usize, &mut [usize], &mut [f32])> = assignments
-                .chunks_mut(crate::par::CHUNK_ROWS)
-                .zip(best_dists.chunks_mut(crate::par::CHUNK_ROWS))
-                .enumerate()
-                .map(|(ch, (asn, dst))| (ch * crate::par::CHUNK_ROWS, asn, dst))
-                .collect();
-            crate::par::run_items(chunks, assign_jobs, |(i0, asn, dst)| {
-                let rows = asn.len();
-                let mut dots = vec![0.0f32; rows * k];
-                gemm_nt_rows(points, centroids, i0, &mut dots);
-                for (off, (a_slot, d_slot)) in asn.iter_mut().zip(dst.iter_mut()).enumerate() {
-                    let p_norm = norm_sq(points.row(i0 + off));
-                    let dot_row = &dots[off * k..(off + 1) * k];
-                    let (mut best, mut best_d) = (0usize, f32::INFINITY);
-                    for c in 0..k {
-                        let dd = p_norm + c_norms[c] - 2.0 * dot_row[c];
-                        if dd < best_d {
-                            best = c;
-                            best_d = dd;
-                        }
-                    }
-                    *a_slot = best;
-                    *d_slot = best_d;
-                }
-            });
+        let panels = Panels::pack(&centroids);
+        for c in 0..k {
+            c_norms[c] = norm_sq(centroids.row(c));
         }
-        // Reduce in point order — the same f64 accumulation sequence the
-        // sequential loop performed, regardless of chunk scheduling.
+        assign(
+            points,
+            &p_norms,
+            &panels,
+            &c_norms,
+            &mut assignments,
+            &mut best_dists,
+        );
+        // Reduce in point order.
         let mut new_inertia = 0.0f64;
         for &bd in &best_dists {
             new_inertia += f64::from(bd);
@@ -166,13 +203,12 @@ pub fn kmeans_jobs(
         }
         for c in 0..k {
             if counts[c] == 0 {
-                // Re-seed an empty cluster on the farthest point.
-                let far = (0..n)
-                    .max_by(|&a, &b| {
-                        dist_sq(points.row(a), centroids.row(assignments[a]))
-                            .partial_cmp(&dist_sq(points.row(b), centroids.row(assignments[b])))
-                            .expect("no NaN distances")
-                    })
+                // Re-seed an empty cluster on the farthest point (the last
+                // one on ties), measured against the centroids as updated
+                // so far.
+                let (far, _) = (0..n)
+                    .map(|i| (i, dist_sq(points.row(i), centroids.row(assignments[i]))))
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN distances"))
                     .expect("non-empty dataset");
                 centroids.row_mut(c).copy_from_slice(points.row(far));
                 continue;
@@ -262,6 +298,65 @@ mod tests {
         let pts = Matrix::from_vec(4, 2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 5.0, 5.0]);
         let c = kmeans(&pts, 4, 10, &mut seeded(2));
         assert!(c.inertia < 1e-9, "inertia {}", c.inertia);
+    }
+
+    #[test]
+    fn empty_clusters_reseed_on_the_last_farthest_point() {
+        // Seven centroids over five distinct points (14 points in all):
+        // k-means++ must repeat a point, the repeated centroid loses
+        // every tie, and its empty cluster re-seeds on the farthest
+        // point — all distances are zero, so the last one. The bits are
+        // pinned from the implementation before the Lloyd split.
+        let base = [
+            (0.0f32, 0.0f32),
+            (1.0, 0.0),
+            (0.0, 1.0),
+            (5.0, 5.0),
+            (5.0, 6.5),
+        ];
+        let mut data = Vec::new();
+        for rep in 0..3 {
+            for (i, &(x, y)) in base.iter().enumerate() {
+                if !(rep == 2 && i == 1) {
+                    data.extend([x, y]);
+                }
+            }
+        }
+        let pts = Matrix::from_vec(14, 2, data);
+        let pinned: [(u64, [u32; 14], [usize; 14]); 3] = [
+            (
+                1,
+                [
+                    1084227584, 1084227584, 1065353216, 0, 0, 0, 0, 1065353216, 1084227584,
+                    1087373312, 1084227584, 1087373312, 1084227584, 1087373312,
+                ],
+                [2, 1, 3, 0, 4, 2, 1, 3, 0, 4, 2, 3, 0, 4],
+            ),
+            (
+                2,
+                [
+                    1084227584, 1087373312, 1065353216, 0, 0, 1065353216, 0, 0, 1084227584,
+                    1084227584, 1084227584, 1087373312, 1084227584, 1087373312,
+                ],
+                [3, 1, 2, 4, 0, 3, 1, 2, 4, 0, 3, 2, 4, 0],
+            ),
+            (
+                3,
+                [
+                    1065353216, 0, 1084227584, 1087373312, 1084227584, 1084227584, 0, 0, 0,
+                    1065353216, 1084227584, 1087373312, 1084227584, 1087373312,
+                ],
+                [3, 0, 4, 2, 1, 3, 0, 4, 2, 1, 3, 4, 2, 1],
+            ),
+        ];
+        for (seed, centroid_bits, assignments) in pinned {
+            let c = kmeans(&pts, 7, 10, &mut seeded(seed));
+            let bits: Vec<u32> = c.centroids.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, centroid_bits, "seed {seed}");
+            assert_eq!(c.assignments, assignments, "seed {seed}");
+            assert_eq!(c.inertia.to_bits(), 0, "seed {seed}");
+            assert_eq!(c.iterations, 2, "seed {seed}");
+        }
     }
 
     #[test]

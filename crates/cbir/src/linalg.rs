@@ -10,6 +10,8 @@
 //! which turns short-list retrieval into one matrix-matrix product plus a
 //! broadcast addition — the shape the GeMM accelerator template runs.
 
+use std::ops::Add;
+
 /// A row-major `f32` matrix. Zero-dimension matrices are legal (an empty
 /// query batch or candidate list is a normal runtime input, not a bug) —
 /// they simply have no rows to borrow.
@@ -85,9 +87,10 @@ impl Matrix {
 /// `C = A x B^T` — blocked for cache reuse and parallelized over row
 /// chunks. `A` is `m x k`, `B` is `n x k` (both row-major), result is
 /// `m x n`. Taking `B` row-major with rows as the *right* operand's columns
-/// is an explicitly transposed layout: the inner loop walks two contiguous
-/// rows, which matches how the centroid matrix is stored "in columnar
-/// fashion" in the paper.
+/// is an explicitly transposed layout, which matches how the centroid
+/// matrix is stored "in columnar fashion" in the paper; the kernel packs
+/// it once per call into 8-column panels that every row of `A` streams
+/// through.
 ///
 /// Large products fan out across threads in fixed 64-row chunks (see
 /// [`crate::par`]); every output element is accumulated in the same
@@ -134,6 +137,7 @@ pub fn gemm_nt_jobs(a: &Matrix, b: &Matrix, jobs: usize) -> Matrix {
     if a.rows == 0 || n == 0 {
         return c;
     }
+    let panels = Panels::pack(b);
     let chunks: Vec<(usize, &mut [f32])> = c
         .data
         .chunks_mut(crate::par::CHUNK_ROWS * n)
@@ -141,7 +145,7 @@ pub fn gemm_nt_jobs(a: &Matrix, b: &Matrix, jobs: usize) -> Matrix {
         .map(|(ch, slice)| (ch * crate::par::CHUNK_ROWS, slice))
         .collect();
     crate::par::run_items(chunks, jobs, |(row0, out)| {
-        gemm_nt_rows(a, b, row0, out);
+        gemm_nt_rows(a, &panels, row0, out);
     });
     c
 }
@@ -151,14 +155,16 @@ pub fn gemm_nt_jobs(a: &Matrix, b: &Matrix, jobs: usize) -> Matrix {
 /// the lane model (not the instruction set) fixes the output bits.
 const LANES: usize = 8;
 
-/// Columns of `B^T` processed per inner-kernel invocation.
-const COLS: usize = 4;
+/// Output columns per packed panel of `B^T`.
+pub(crate) const PANEL: usize = 8;
 
 /// Folds an 8-lane accumulator with a fixed reduction tree. Every kernel
 /// in this module reduces through this one function, so any two paths
-/// that accumulate the same lanes agree bit-for-bit.
-#[inline]
-fn reduce(acc: [f32; LANES]) -> f32 {
+/// that accumulate the same lanes agree bit-for-bit. It is generic so the
+/// column-panel kernel folds eight columns' lanes at once ([`Columns`])
+/// through the very same tree.
+#[inline(always)]
+fn reduce<T: Copy + Add<Output = T>>(acc: [T; LANES]) -> T {
     let q = [
         acc[0] + acc[4],
         acc[1] + acc[5],
@@ -175,8 +181,8 @@ fn reduce(acc: [f32; LANES]) -> f32 {
 /// adding products, this is bitwise identical to zero-padding the inputs
 /// to a multiple of eight.
 ///
-/// This is *the* accumulation order of the crate: the GEMM micro-kernel,
-/// [`norm_sq`] and the k-means assignment all route through it, which is
+/// This is *the* accumulation order of the crate: the column-panel GEMM
+/// kernel, [`norm_sq`] and the k-means assignment all follow it, which is
 /// what makes decomposed distances of a vector to itself exactly zero.
 #[inline]
 pub(crate) fn dot8(a: &[f32], b: &[f32]) -> f32 {
@@ -196,65 +202,167 @@ pub(crate) fn dot8(a: &[f32], b: &[f32]) -> f32 {
     reduce(acc)
 }
 
-/// Computes rows `row0 ..` of `C = A x B^T` into `out` (a contiguous
-/// row-major slice of whole rows).
-///
-/// The inner kernel is register-blocked 4 columns x 8 lanes: four rows of
-/// `B` are packed into one contiguous panel (reused across the whole
-/// i-loop, so it stays cache-hot), and each `A` row accumulates into four
-/// independent 8-lane accumulators. Per output element the accumulation
-/// order is exactly [`dot8`]'s — lane `l` sums `t ≡ l (mod 8)` in order,
-/// then the fixed [`reduce`] tree — so the 4-wide kernel, the remainder
-/// columns (plain `dot8`) and any row-chunking all produce bit-identical
-/// results.
-pub(crate) fn gemm_nt_rows(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
-    let n = b.rows;
-    let k = a.cols;
-    let rows = out.len() / n;
-    let main = k / LANES * LANES;
-    // Packed B panel: COLS rows of B, contiguous. One allocation per
-    // chunk, reused across every (i, j0) iteration.
-    let mut panel = vec![0.0f32; COLS * k];
-    for j0 in (0..n).step_by(COLS) {
-        if n - j0 >= COLS {
-            for c in 0..COLS {
-                panel[c * k..(c + 1) * k].copy_from_slice(b.row(j0 + c));
-            }
-            let (b0, rest) = panel.split_at(k);
-            let (b1, rest) = rest.split_at(k);
-            let (b2, b3) = rest.split_at(k);
-            for i in 0..rows {
-                let ar = a.row(row0 + i);
-                let mut acc = [[0.0f32; LANES]; COLS];
-                for t0 in (0..main).step_by(LANES) {
-                    for l in 0..LANES {
-                        let x = ar[t0 + l];
-                        acc[0][l] += x * b0[t0 + l];
-                        acc[1][l] += x * b1[t0 + l];
-                        acc[2][l] += x * b2[t0 + l];
-                        acc[3][l] += x * b3[t0 + l];
-                    }
-                }
-                for (l, t) in (main..k).enumerate() {
-                    let x = ar[t];
-                    acc[0][l] += x * b0[t];
-                    acc[1][l] += x * b1[t];
-                    acc[2][l] += x * b2[t];
-                    acc[3][l] += x * b3[t];
-                }
-                for (c, lanes) in acc.into_iter().enumerate() {
-                    out[i * n + j0 + c] = reduce(lanes);
-                }
-            }
-        } else {
-            // Remainder columns: same order via the one-row dot kernel.
-            for j in j0..n {
-                let br = b.row(j);
-                for i in 0..rows {
-                    out[i * n + j] = dot8(a.row(row0 + i), br);
-                }
+/// The right operand of `A x B^T`, packed once for the column-panel
+/// kernel: `B^T` cut into [`PANEL`]-column panels, each stored `t`-major
+/// (the eight `B` rows' values at index `t` are contiguous), the last
+/// panel zero-padded. A whole panel is one contiguous `8 x k` block that
+/// every `A` row streams through.
+pub(crate) struct Panels {
+    n: usize,
+    k: usize,
+    data: Vec<f32>,
+}
+
+impl Panels {
+    /// Packs the rows of `b` (the output columns) into panels.
+    pub(crate) fn pack(b: &Matrix) -> Self {
+        let k = b.cols;
+        let mut data = vec![0.0f32; b.rows.div_ceil(PANEL) * PANEL * k];
+        for j in 0..b.rows {
+            let (p, c) = (j / PANEL, j % PANEL);
+            let panel = &mut data[p * PANEL * k..(p + 1) * PANEL * k];
+            for (t, &x) in b.row(j).iter().enumerate() {
+                panel[t * PANEL + c] = x;
             }
         }
+        Panels { n: b.rows, k, data }
+    }
+
+    /// `<a, B_j>` for every column `j` of every panel, into `out`
+    /// (eight per panel; padding columns get `+0.0`).
+    ///
+    /// The column-panel kernel: for each panel, lane `l` sums the
+    /// products at `t ≡ l (mod 8)` in increasing `t` for all eight
+    /// columns at once, then [`reduce`] folds the lanes of all eight
+    /// columns together. Per output that is exactly [`dot8`]'s order,
+    /// whatever the column's position in its panel. Storing the folded
+    /// columns to `out` (rather than returning them) is what lets the
+    /// compiler vectorize the fold across columns.
+    #[inline]
+    pub(crate) fn row_dots(&self, a: &[f32], out: &mut [f32]) {
+        let k = self.k;
+        assert_eq!(a.len(), k, "Panels::row_dots: inner dimension mismatch");
+        assert_eq!(
+            out.len(),
+            self.n.div_ceil(PANEL) * PANEL,
+            "Panels::row_dots: output size"
+        );
+        // Whole 8-wide blocks of `t`, then the tail in lanes `0..k % 8`.
+        let main = k / LANES * LANES;
+        let panel_len = PANEL * k;
+        for (p, out) in out.chunks_exact_mut(PANEL).enumerate() {
+            let panel = &self.data[p * panel_len..(p + 1) * panel_len];
+            let col = |t: usize| -> &[f32; PANEL] {
+                panel[t * PANEL..(t + 1) * PANEL]
+                    .try_into()
+                    .expect("whole panel row")
+            };
+            let mut acc = [Columns([0.0; PANEL]); LANES];
+            for t0 in (0..main).step_by(LANES) {
+                for l in 0..LANES {
+                    acc[l] = acc[l].add_scaled(a[t0 + l], col(t0 + l));
+                }
+            }
+            for l in 0..LANES {
+                if main + l < k {
+                    acc[l] = acc[l].add_scaled(a[main + l], col(main + l));
+                }
+            }
+            out.copy_from_slice(&reduce(acc).0);
+        }
+    }
+}
+
+/// One lane's sums for the eight columns of a panel, added column by
+/// column.
+#[derive(Clone, Copy)]
+struct Columns([f32; PANEL]);
+
+impl Columns {
+    /// `self + x * col`, column by column.
+    #[inline(always)]
+    fn add_scaled(mut self, x: f32, col: &[f32; PANEL]) -> Columns {
+        for (sum, &y) in self.0.iter_mut().zip(col) {
+            *sum += x * y;
+        }
+        self
+    }
+}
+
+impl Add for Columns {
+    type Output = Columns;
+
+    #[inline(always)]
+    fn add(mut self, other: Columns) -> Columns {
+        for (x, y) in self.0.iter_mut().zip(other.0) {
+            *x += y;
+        }
+        self
+    }
+}
+
+/// Computes rows `row0 ..` of `C = A x B^T` into `out` (a contiguous
+/// row-major slice of whole rows), `B` packed as `panels`. Padding
+/// columns of the last panel are computed and dropped.
+pub(crate) fn gemm_nt_rows(a: &Matrix, panels: &Panels, row0: usize, out: &mut [f32]) {
+    let n = panels.n;
+    let mut dots = vec![0.0f32; n.div_ceil(PANEL) * PANEL];
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        panels.row_dots(a.row(row0 + i), &mut dots);
+        out_row.copy_from_slice(&dots[..n]);
+    }
+}
+
+/// Running 8-lane argmin over a row scanned one [`PANEL`] at a time:
+/// lane `c` keeps the first index of its minimum among columns
+/// `j ≡ c (mod 8)` under a strict `<`, and [`finish`](Self::finish) takes
+/// the smallest value, the lowest index among equal values. That is
+/// exactly the sequential strict-`<` scan from `(0, +inf)`: the first
+/// index of the minimum wins (`-0.0` and `+0.0` tie), NaN never wins, and
+/// a row with nothing below `+inf` returns `(0, +inf)`.
+#[derive(Clone, Copy)]
+pub(crate) struct ArgMin {
+    best: [f32; PANEL],
+    index: [u32; PANEL],
+    /// Column indices of the next panel.
+    next: [u32; PANEL],
+}
+
+impl ArgMin {
+    pub(crate) fn new() -> Self {
+        ArgMin {
+            best: [f32::INFINITY; PANEL],
+            index: [0; PANEL],
+            next: [0, 1, 2, 3, 4, 5, 6, 7],
+        }
+    }
+
+    /// Offers the next panel's eight values. Branch-free, so the lanes
+    /// update as one vector select.
+    #[inline(always)]
+    #[must_use]
+    #[allow(clippy::needless_range_loop)] // four lane arrays walked in lockstep
+    pub(crate) fn push(self, d: [f32; PANEL]) -> Self {
+        let mut out = self;
+        for c in 0..PANEL {
+            let less = d[c] < self.best[c];
+            out.best[c] = if less { d[c] } else { self.best[c] };
+            out.index[c] = if less { self.next[c] } else { self.index[c] };
+            out.next[c] = self.next[c].wrapping_add(PANEL as u32);
+        }
+        out
+    }
+
+    /// The `(index, value)` of the row's first minimum.
+    pub(crate) fn finish(&self) -> (usize, f32) {
+        let (mut index, mut best) = (self.index[0], self.best[0]);
+        for c in 1..PANEL {
+            let (i, v) = (self.index[c], self.best[c]);
+            if v < best || (v == best && i < index) {
+                (index, best) = (i, v);
+            }
+        }
+        (index as usize, best)
     }
 }
 
@@ -328,9 +436,9 @@ mod tests {
 
     #[test]
     fn gemm_blocks_match_naive_on_odd_sizes() {
-        // 37 x 19 x 41: sizes that divide neither the 4-column block nor
+        // 37 x 19 x 41: sizes that divide neither the 8-column panel nor
         // the 8-lane accumulator. Every element is checked — a broken
-        // interior block or mis-handled remainder column cannot hide.
+        // interior panel or mis-handled padding column cannot hide.
         let a = Matrix::from_vec(37, 19, (0..37 * 19).map(|i| (i % 7) as f32 - 3.0).collect());
         let b = Matrix::from_vec(41, 19, (0..41 * 19).map(|i| (i % 5) as f32 - 2.0).collect());
         let c = gemm_nt(&a, &b);
@@ -347,16 +455,16 @@ mod tests {
     }
 
     #[test]
-    fn gemm_remainder_columns_match_wide_kernel_bitwise() {
-        // The same B rows reached through the 4-wide kernel (as columns
-        // 0..4 of a 5-column B) and through the remainder path (as the
-        // only column) must produce identical bits.
+    fn gemm_column_position_does_not_change_bits() {
+        // The same B rows reached at every position of a full panel and
+        // of a zero-padded one (as columns of a 13-column B) and as the
+        // only column of a padded panel must produce identical bits.
         let k = 19;
         let a = Matrix::from_vec(3, k, (0..3 * k).map(|i| (i as f32).sin()).collect());
-        let b5 = Matrix::from_vec(5, k, (0..5 * k).map(|i| (i as f32).cos()).collect());
-        let wide = gemm_nt(&a, &b5);
-        for j in 0..5 {
-            let b1 = Matrix::from_vec(1, k, b5.row(j).to_vec());
+        let b13 = Matrix::from_vec(13, k, (0..13 * k).map(|i| (i as f32).cos()).collect());
+        let wide = gemm_nt(&a, &b13);
+        for j in 0..13 {
+            let b1 = Matrix::from_vec(1, k, b13.row(j).to_vec());
             let narrow = gemm_nt(&a, &b1);
             for i in 0..3 {
                 assert_eq!(wide.row(i)[j].to_bits(), narrow.row(i)[0].to_bits());
@@ -604,14 +712,18 @@ mod tests {
     #[test]
     fn gemm_nt_rows_fills_a_row_offset_window() {
         // A chunk starting at row 4 must hold exactly rows 4..7 of the
-        // whole product, across wide blocks and remainder columns.
+        // whole product, across a full panel and a padded one.
         let k = 13;
         let a = Matrix::from_vec(9, k, (0..9 * k).map(|i| (i as f32 * 0.37).sin()).collect());
-        let b = Matrix::from_vec(6, k, (0..6 * k).map(|i| (i as f32 * 0.11).cos()).collect());
+        let b = Matrix::from_vec(
+            11,
+            k,
+            (0..11 * k).map(|i| (i as f32 * 0.11).cos()).collect(),
+        );
         let full = gemm_nt_jobs(&a, &b, 1);
-        let mut window = vec![0.0f32; 3 * 6];
-        gemm_nt_rows(&a, &b, 4, &mut window);
-        assert_eq!(bits(&window), bits(&full.as_slice()[4 * 6..7 * 6]));
+        let mut window = vec![0.0f32; 3 * 11];
+        gemm_nt_rows(&a, &Panels::pack(&b), 4, &mut window);
+        assert_eq!(bits(&window), bits(&full.as_slice()[4 * 11..7 * 11]));
     }
 
     proptest! {
@@ -640,20 +752,20 @@ mod tests {
             prop_assert_eq!(norm_sq(&v).to_bits(), lane_model(&v, &v).to_bits());
         }
 
-        /// The whole micro-kernel (packed 4-wide panels, remainder
-        /// columns, every k-tail including k = 0) over odd shapes and
-        /// adversarial payloads.
+        /// The whole column-panel kernel (full and zero-padded panels,
+        /// every k-tail including k = 0) over odd shapes and adversarial
+        /// payloads.
         #[test]
         fn gemm_nt_rows_matches_lane_model_bitwise(
             m in 1usize..24,
-            n in 1usize..14,
+            n in 1usize..20,
             k in 0usize..40,
             salt in 0usize..1000,
         ) {
             let a = Matrix::from_vec(m, k, adversarial(m * k, salt));
             let b = Matrix::from_vec(n, k, adversarial(n * k, salt + 1));
             let mut got = vec![0.0f32; m * n];
-            gemm_nt_rows(&a, &b, 0, &mut got);
+            gemm_nt_rows(&a, &Panels::pack(&b), 0, &mut got);
             let want: Vec<f32> = (0..m)
                 .flat_map(|i| (0..n).map(move |j| (i, j)))
                 .map(|(i, j)| lane_model(a.row(i), b.row(j)))
@@ -711,6 +823,62 @@ mod tests {
                     prop_assert!((c1.row(i)[j] - want).abs() < 1e-2 * want.abs().max(1.0));
                 }
             }
+        }
+    }
+
+    /// The sequential scan [`ArgMin`] must reproduce: strict `<` from
+    /// `(0, +inf)`, columns in index order.
+    fn scan_argmin(row: &[f32]) -> (usize, f32) {
+        let (mut best, mut best_d) = (0usize, f32::INFINITY);
+        for (j, &d) in row.iter().enumerate() {
+            if d < best_d {
+                best = j;
+                best_d = d;
+            }
+        }
+        (best, best_d)
+    }
+
+    /// [`ArgMin`] over `row`, the last panel padded with NaN the way the
+    /// k-means assignment pads it.
+    fn lane_argmin(row: &[f32]) -> (usize, f32) {
+        let mut am = ArgMin::new();
+        for chunk in row.chunks(PANEL) {
+            let mut d = [f32::NAN; PANEL];
+            d[..chunk.len()].copy_from_slice(chunk);
+            am = am.push(d);
+        }
+        am.finish()
+    }
+
+    #[test]
+    fn argmin_of_rows_with_nothing_below_infinity_is_zero_infinity() {
+        for k in 1..=70 {
+            for fill in [f32::NAN, canonical_nan(), f32::INFINITY] {
+                let (j, d) = lane_argmin(&vec![fill; k]);
+                assert_eq!((j, d.to_bits()), (0, f32::INFINITY.to_bits()), "k {k}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The 8-lane argmin equals the strict-`<` scan, index and value
+        /// bits, on rows of 1 to 70 columns drawn from NaN, signed zeros,
+        /// repeated values and infinities.
+        #[test]
+        fn argmin_matches_sequential_scan_bitwise(
+            picks in proptest::collection::vec(0usize..1000, 1..71)
+        ) {
+            let pool = [
+                f32::NAN, -0.0, 0.0, 1.0, 1.0, -2.0, -2.0, f32::INFINITY,
+                f32::NEG_INFINITY, 3.5, f32::MAX, f32::from_bits(1),
+            ];
+            let row: Vec<f32> = picks.iter().map(|&i| pool[i % pool.len()]).collect();
+            let (want_j, want_d) = scan_argmin(&row);
+            let (got_j, got_d) = lane_argmin(&row);
+            prop_assert_eq!((got_j, got_d.to_bits()), (want_j, want_d.to_bits()));
         }
     }
 }

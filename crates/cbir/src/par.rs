@@ -1,18 +1,19 @@
 //! Deterministic chunked parallelism for the offline CBIR kernels.
 //!
 //! The same contract as `reach-bench::ScenarioRunner`, applied inside a
-//! kernel: work is cut into **fixed-size chunks whose boundaries never
-//! depend on the worker count**, every chunk writes a disjoint slice of the
-//! output, and each output element is produced by exactly the same scalar
-//! code (same floating-point accumulation order) whether the chunk runs on
-//! the calling thread or a spawned one. Results are therefore byte-identical
+//! kernel: work is cut into **items whose boundaries never depend on the
+//! worker count** (fixed-size row chunks, or one PQ subspace's Lloyd loop),
+//! every item writes a disjoint slice of the output, and each output
+//! element is produced by exactly the same scalar code (same
+//! floating-point accumulation order) whether the item runs on the calling
+//! thread or a spawned one. Results are therefore byte-identical
 //! at any worker count — there is nothing to re-verify when the machine or
 //! `REACH_KERNEL_JOBS` changes, which is what lets the experiments suite
 //! keep its byte-identical-stdout determinism contract while the kernels
 //! fan out.
 //!
-//! Chunks are pre-partitioned round-robin instead of pulled from a shared
-//! queue: the chunks of one kernel call are uniform in cost, so work
+//! Items are pre-partitioned round-robin instead of pulled from a shared
+//! queue: the items of one kernel call are uniform in cost, so work
 //! stealing would buy nothing and dynamic assignment would add
 //! synchronization for zero benefit (scheduling still cannot change the
 //! result — it would only add atomics to prove it).
@@ -41,11 +42,12 @@ pub(crate) fn kernel_jobs() -> usize {
     })
 }
 
-/// Runs `work` over every item, fanning out across up to `jobs` scoped
-/// threads. Item `i` goes to worker `i % jobs` (round-robin), so the
-/// partition is a pure function of the item list and the job count — and
-/// since each item owns a disjoint `&mut` output slice, the result does not
-/// depend on the partition at all.
+/// Runs `work` over every item, fanning out across up to `jobs` threads:
+/// the calling thread and up to `jobs - 1` scoped ones. Item `i` goes to
+/// worker `i % jobs` (round-robin), so the partition is a pure function of
+/// the item list and the job count — and since each item owns a disjoint
+/// `&mut` output slice, the result does not depend on the partition at
+/// all. The last bucket runs on the calling thread.
 pub(crate) fn run_items<I, F>(items: Vec<I>, jobs: usize, work: F)
 where
     I: Send,
@@ -57,24 +59,49 @@ where
         }
         return;
     }
-    let mut buckets: Vec<Vec<I>> = Vec::with_capacity(jobs);
-    buckets.resize_with(jobs, Vec::new);
+    let workers = jobs.min(items.len());
+    let mut buckets: Vec<Vec<I>> = Vec::with_capacity(workers);
+    buckets.resize_with(workers, Vec::new);
     for (i, item) in items.into_iter().enumerate() {
-        buckets[i % jobs].push(item);
+        buckets[i % workers].push(item);
     }
+    let last = buckets.pop().expect("at least two workers");
     let work = &work;
     std::thread::scope(|scope| {
         for bucket in buckets {
-            if bucket.is_empty() {
-                continue;
-            }
             scope.spawn(move || {
                 for item in bucket {
                     work(item);
                 }
             });
         }
+        for item in last {
+            work(item);
+        }
     });
+}
+
+/// `f(i)` for every row index `i < rows`, computed in fixed
+/// [`CHUNK_ROWS`]-row chunks across [`kernel_jobs`] workers. Each output is
+/// produced by the same call whichever worker runs its chunk, so the
+/// vector is identical at any worker count.
+pub(crate) fn map_rows<T, F>(rows: usize, f: F) -> Vec<T>
+where
+    T: Default + Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut out: Vec<T> = (0..rows).map(|_| T::default()).collect();
+    let chunks: Vec<(usize, &mut [T])> = out
+        .chunks_mut(CHUNK_ROWS)
+        .enumerate()
+        .map(|(ch, slice)| (ch * CHUNK_ROWS, slice))
+        .collect();
+    run_items(chunks, kernel_jobs(), |(row0, slice)| {
+        for (off, slot) in slice.iter_mut().enumerate() {
+            *slot = f(row0 + off);
+        }
+    });
+    out
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! test suite demonstrates the recall penalty on the same datasets the
 //! exact pipeline handles losslessly.
 
-use crate::kmeans::kmeans;
+use crate::kmeans::kmeans_each_jobs;
 use crate::linalg::Matrix;
 use crate::topk::top_k;
 use rand::Rng;
@@ -59,7 +59,7 @@ impl ProductQuantizer {
             "ProductQuantizer: centroids {centroids} out of range"
         );
         let sub_dim = d / subspaces;
-        let codebooks = (0..subspaces)
+        let subs: Vec<Matrix> = (0..subspaces)
             .map(|s| {
                 // Slice out the subspace columns.
                 let mut sub = Matrix::zeros(data.rows(), sub_dim);
@@ -67,8 +67,14 @@ impl ProductQuantizer {
                     sub.row_mut(i)
                         .copy_from_slice(&data.row(i)[s * sub_dim..(s + 1) * sub_dim]);
                 }
-                kmeans(&sub, centroids, 20, rng).centroids
+                sub
             })
+            .collect();
+        // Seeds every subspace in order, then runs the subspaces' Lloyd
+        // loops in parallel.
+        let codebooks = kmeans_each_jobs(&subs, centroids, 20, rng, crate::par::kernel_jobs())
+            .into_iter()
+            .map(|c| c.centroids)
             .collect();
         ProductQuantizer { sub_dim, codebooks }
     }
@@ -77,6 +83,12 @@ impl ProductQuantizer {
     #[must_use]
     pub fn subspaces(&self) -> usize {
         self.codebooks.len()
+    }
+
+    /// Codewords per subspace.
+    #[must_use]
+    pub fn codewords(&self) -> usize {
+        self.codebooks[0].rows()
     }
 
     /// Bytes per encoded vector.
@@ -116,10 +128,11 @@ impl ProductQuantizer {
             .collect()
     }
 
-    /// Encodes every row of `data`.
+    /// Encodes every row of `data`, in fixed row chunks across the kernel
+    /// workers.
     #[must_use]
     pub fn encode_batch(&self, data: &Matrix) -> Vec<Vec<u8>> {
-        (0..data.rows()).map(|i| self.encode(data.row(i))).collect()
+        crate::par::map_rows(data.rows(), |i| self.encode(data.row(i)))
     }
 
     /// Decodes a code back to the (lossy) reconstruction.

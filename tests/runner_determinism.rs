@@ -189,7 +189,7 @@ mod kernel_chunking {
     //! rests on it.
 
     use proptest::prelude::*;
-    use reach_cbir::kmeans::kmeans_jobs;
+    use reach_cbir::kmeans::kmeans_each_jobs;
     use reach_cbir::linalg::{gemm_nt_jobs, Matrix};
     use reach_sim::rng::seeded;
 
@@ -224,43 +224,54 @@ mod kernel_chunking {
             );
         }
 
-        /// K-means assignment chunking: the full clustering (assignments,
-        /// centroids, inertia) is identical at any worker count.
+        /// Per-set Lloyd loops across workers: every clustering
+        /// (assignments, centroids, inertia, iterations) of a batch of
+        /// point sets is identical at any worker count.
         #[test]
         fn kmeans_parallel_matches_sequential_bitwise(
             n in 8usize..300,
             d in 1usize..8,
             k_frac in 1usize..8,
+            sets in 1usize..6,
             jobs in 2usize..9,
             seedling in 0u64..1000,
         ) {
             let k = (n / k_frac).max(1);
-            let pts = Matrix::from_vec(
-                n,
-                d,
-                (0..n * d)
-                    .map(|i| {
-                        let x = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(seedling);
-                        ((x % 4001) as f32 - 2000.0) / 131.0
-                    })
-                    .collect(),
-            );
-            let seq = kmeans_jobs(&pts, k, 10, &mut seeded(seedling), 1);
-            let par = kmeans_jobs(&pts, k, 10, &mut seeded(seedling), jobs);
-            prop_assert_eq!(&seq.assignments, &par.assignments);
-            prop_assert_eq!(
-                seq.centroids.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                par.centroids.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(seq.inertia.to_bits(), par.inertia.to_bits());
-            prop_assert_eq!(seq.iterations, par.iterations);
+            let point_sets: Vec<Matrix> = (0..sets as u64)
+                .map(|s| {
+                    Matrix::from_vec(
+                        n,
+                        d,
+                        (0..n * d)
+                            .map(|i| {
+                                let x = (i as u64)
+                                    .wrapping_mul(0x9E37_79B9)
+                                    .wrapping_add(seedling + s * 7919);
+                                ((x % 4001) as f32 - 2000.0) / 131.0
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            let seq = kmeans_each_jobs(&point_sets, k, 10, &mut seeded(seedling), 1);
+            let par = kmeans_each_jobs(&point_sets, k, 10, &mut seeded(seedling), jobs);
+            prop_assert_eq!(seq.len(), sets);
+            for (seq, par) in seq.iter().zip(&par) {
+                prop_assert_eq!(&seq.assignments, &par.assignments);
+                prop_assert_eq!(
+                    seq.centroids.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    par.centroids.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(seq.inertia.to_bits(), par.inertia.to_bits());
+                prop_assert_eq!(seq.iterations, par.iterations);
+            }
         }
 
-        /// The register-blocked micro-kernel agrees bit-for-bit with a
-        /// scalar model of its accumulation contract: lane `l` of an
-        /// 8-lane accumulator sums products at `t ≡ l (mod 8)` in order,
-        /// then the lanes fold pairwise. Wide (4-column) blocks, the
-        /// remainder-column path and every chunking must all match it.
+        /// The column-panel kernel agrees bit-for-bit with a scalar model
+        /// of its accumulation contract: lane `l` of an 8-lane
+        /// accumulator sums products at `t ≡ l (mod 8)` in order, then
+        /// the lanes fold pairwise. Full and zero-padded 8-column panels
+        /// and every chunking must all match it.
         #[test]
         fn micro_kernel_matches_lane_model_bitwise(
             m in 1usize..40,
