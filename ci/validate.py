@@ -194,15 +194,15 @@ def validate_bench_pr10(doc):
 
 def validate_golden_fingerprints(text):
     """The fingerprint stability file: one '<digest>  <label>' row per
-    suite scenario, 32 lowercase hex digits (or 32 dashes for scenarios
-    that opt out of caching)."""
+    suite scenario, 32 lowercase hex digits. Every suite scenario derives
+    its cache key, so a row of 32 dashes (a scenario that opts out of
+    caching) is a regression."""
     lines = text.splitlines()
     require(len(lines) >= 100, f"expected the full suite, saw {len(lines)} rows")
     for i, line in enumerate(lines, 1):
         require(FINGERPRINT_LINE.match(line), f"malformed row {i}: {line!r}")
     opted_out = sum(1 for line in lines if line.startswith("-" * 32))
-    require(opted_out * 10 < len(lines),
-            f"{opted_out}/{len(lines)} scenarios uncacheable")
+    require(opted_out == 0, f"{opted_out}/{len(lines)} scenarios uncacheable")
     return f"{len(lines)} fingerprint row(s), {opted_out} uncacheable"
 
 
@@ -488,9 +488,7 @@ def selftest():
     validate_bench(good_record)
     validate_bench({"schema": "reach-bench-v1", "experiments": [{"id": "fig13"}]})
 
-    good_golden = "\n".join(
-        [f"{i:032x}  sweep/point{i}" for i in range(120)] + ["-" * 32 + "  closure/corun"]
-    )
+    good_golden = "\n".join(f"{i:032x}  sweep/point{i}" for i in range(120))
     validate_golden_fingerprints(good_golden)
 
     good_fleet = FLEET_HEADER + "\n" + "\n".join(
@@ -555,6 +553,9 @@ def selftest():
     rejects(validate_golden_fingerprints,
             "\n".join(["-" * 32 + f"  closure/{i}" for i in range(120)]),
             "everything uncacheable")
+    rejects(validate_golden_fingerprints,
+            good_golden + "\n" + "-" * 32 + "  closure/corun",
+            "one uncacheable row")
 
     rejects(validate_fleet,
             [("j1", good_fleet), ("j4", good_fleet + " drifted")],

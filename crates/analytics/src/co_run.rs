@@ -9,14 +9,13 @@
 
 use crate::queries::ScanQuery;
 use crate::templates::{analytics_blueprint, analytics_registry};
-use reach::fingerprint::ConfigFingerprint;
 use reach::{
-    FnScenario, Level, Pipeline, ReachConfig, Scenario, ScenarioExecutor, SequentialExecutor,
-    StreamType, TaskWork,
+    Level, Pipeline, ReachConfig, Scenario, ScenarioExecutor, Schedule, SequentialExecutor,
+    StreamType, TaskWork, Tenant, TenantMix,
 };
 use reach_cbir::pipeline::CbirStage;
-use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
-use reach_sim::{FingerprintBuilder, SimDuration};
+use reach_cbir::CbirPipeline;
+use reach_sim::SimDuration;
 
 /// Results of the co-run experiment.
 #[derive(Clone, Debug)]
@@ -92,15 +91,19 @@ fn scan_pipeline(query: &ScanQuery, shards: u64) -> Pipeline {
 /// scan, each alone and then together on one machine, and reports the
 /// mutual slowdown.
 ///
-/// Job-id spaces are disjoint (CBIR batches from 0, the scan at 512+), so
+/// Job-id spaces are disjoint (CBIR batches from 0, the scan at 512), so
 /// the GAM schedules both tenants through the same per-level queues.
+///
+/// # Panics
+///
+/// Panics if `cbir_batches` is zero: the CBIR tenant would submit no jobs.
 #[must_use]
 pub fn co_run_interference(cbir_batches: usize, query: &ScanQuery) -> CoRunReport {
     co_run_interference_with(&SequentialExecutor, cbir_batches, query)
 }
 
 /// [`co_run_interference`] through an explicit executor: the two isolated
-/// runs and the shared run are three independent scenarios.
+/// runs and the shared run are three independent [`TenantMix`]es.
 #[must_use]
 pub fn co_run_interference_with(
     executor: &dyn ScenarioExecutor,
@@ -109,70 +112,36 @@ pub fn co_run_interference_with(
 ) -> CoRunReport {
     let blueprint = analytics_blueprint();
     let shards = blueprint.config().near_storage_accelerators as u64;
-    let cbir = CbirPipeline::new(CbirWorkload::paper_setup(), CbirMapping::Proper);
-    let query = *query;
-
-    // Vouched fingerprints for the closures below. Each closure's report is
-    // fully determined by the blueprint, the two compiled pipelines, the
-    // CBIR batch count and the session seed; the scan job-id base (512) is
-    // a constant covered by the domain string. Digesting all of them for
-    // every tag over-keys the two "alone" points slightly, which costs
-    // nothing (the suite never varies one input while expecting the others
-    // to hit) and can never under-key.
-    let cbir_compiled = cbir.compile(blueprint.config(), blueprint.registry(), &CbirStage::ALL);
-    let scan_p = scan_pipeline(&query, shards);
-    let seed = reach_sim::rng::session_seed();
-    let vouch = |tag: &str| {
-        let mut b = FingerprintBuilder::new("reach-corun-v1");
-        b.write_str(tag);
-        blueprint.fingerprint().write_into(&mut b);
-        cbir_compiled.fingerprint().write_into(&mut b);
-        scan_p.fingerprint().write_into(&mut b);
-        b.write_usize(cbir_batches);
-        b.write_u64(seed);
-        ConfigFingerprint::from_builder(b)
+    let cbir = Tenant {
+        name: "cbir".into(),
+        pipeline: CbirPipeline::paper_proper().compile(
+            blueprint.config(),
+            blueprint.registry(),
+            &CbirStage::ALL,
+        ),
+        first_job: 0,
+        schedule: Schedule::Upfront { jobs: cbir_batches },
     };
-
-    let scenarios: Vec<Box<dyn Scenario>> = vec![
-        Box::new(
-            FnScenario::new("corun/cbir-alone", blueprint.clone(), move |machine| {
-                cbir.run(machine, cbir_batches)
-            })
-            .with_fingerprint(vouch("cbir-alone")),
-        ),
-        Box::new(
-            FnScenario::new("corun/scan-alone", blueprint.clone(), move |machine| {
-                scan_pipeline(&query, shards).run(machine, 1)
-            })
-            .with_fingerprint(vouch("scan-alone")),
-        ),
-        Box::new(
-            FnScenario::new(
-                "corun/shared",
-                blueprint.clone(),
-                // Shared run: submit both tenants' jobs up front.
-                move |machine| {
-                    let cbir_p = cbir.build(machine);
-                    for batch in 0..cbir_batches {
-                        let (job, works) = cbir_p.job_for_batch(batch as u64);
-                        machine.submit(job, works);
-                    }
-                    let scan_p = scan_pipeline(&query, shards);
-                    let (scan_job, scan_works) = scan_p.job_for_batch(512);
-                    machine.submit(scan_job, scan_works);
-                    machine.run()
-                },
-            )
-            .with_fingerprint(vouch("shared")),
-        ),
-    ];
-    let results = executor.run_all(scenarios);
+    let scan = Tenant {
+        name: "scan".into(),
+        pipeline: scan_pipeline(query, shards),
+        first_job: 512,
+        schedule: Schedule::Upfront { jobs: 1 },
+    };
+    let mix = |label: &str, tenants: Vec<Tenant>| -> Box<dyn Scenario> {
+        Box::new(TenantMix::new(label, blueprint.clone(), tenants))
+    };
+    let results = executor.run_all(vec![
+        mix("corun/cbir-alone", vec![cbir.clone()]),
+        mix("corun/scan-alone", vec![scan.clone()]),
+        mix("corun/shared", vec![cbir, scan]),
+    ]);
     let [cbir_alone_r, scan_alone_r, shared] = &results[..] else {
         unreachable!("three scenarios in, three results out")
     };
 
     // Completions are reported in job-id order: CBIR batches first, the
-    // scan job (id-space 512) last.
+    // scan job last.
     let completions = shared.report.job_completions();
     assert_eq!(completions.len(), cbir_batches + 1);
     let cbir_shared = completions[cbir_batches - 1].since(reach_sim::SimTime::ZERO);
@@ -209,6 +178,12 @@ mod tests {
             r.scan_shared >= r.scan_alone,
             "sharing cannot speed the scan up"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "TenantMix::new: tenant cbir submits no jobs")]
+    fn zero_cbir_batches_is_rejected_by_name() {
+        let _ = co_run_interference(0, &query());
     }
 
     #[test]

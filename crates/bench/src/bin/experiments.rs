@@ -39,17 +39,9 @@
 
 use reach_bench::runner::{CountingExecutor, RecordingExecutor};
 use reach_bench::{BenchEntry, ExperimentsArgs};
-use reach_sim::{MetricValue, MetricsSnapshot};
+use reach_sim::MetricsSnapshot;
 use std::process::ExitCode;
 use std::time::Instant;
-
-/// Final value of an engine counter in a telemetry snapshot (0 if absent).
-fn engine_counter(metrics: &MetricsSnapshot, name: &str) -> u64 {
-    match metrics.get(name) {
-        Some(MetricValue::Counter { value }) => *value,
-        _ => 0,
-    }
-}
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -123,11 +115,11 @@ fn main() -> ExitCode {
         // byte-comparable across job counts.
         let events: u64 = scenarios
             .iter()
-            .map(|s| engine_counter(&s.metrics, "engine.events_processed"))
+            .map(|s| s.metrics.counter("engine.events_processed"))
             .sum();
         let peak_depth = scenarios
             .iter()
-            .map(|s| engine_counter(&s.metrics, "engine.queue_depth_peak"))
+            .map(|s| s.metrics.counter("engine.queue_depth_peak"))
             .max()
             .unwrap_or(0);
         eprintln!(

@@ -6,23 +6,8 @@
 //! byte-stable and CI can diff them.
 
 use crate::runner::CapturedScenario;
+use reach_sim::metrics::json_escape;
 use std::fmt::Write as _;
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Re-indents an embedded pretty-printed JSON document by `pad` spaces so
 /// it nests cleanly inside a larger document.
@@ -70,7 +55,7 @@ pub fn run_metrics_json(
             "\n    {{\n      \"label\": \"{}\",\n      \"makespan_ps\": {},\n      \
              \"jobs\": {},\n      \"throughput_jobs_per_sec\": {:.6},\n      \
              \"energy_j\": {:.6},\n      \"metrics\": {}\n    }}",
-            escape(&s.label),
+            json_escape(&s.label),
             s.makespan_ps,
             s.jobs,
             s.throughput_jobs_per_sec(),
@@ -111,7 +96,7 @@ pub fn bench_report_json(entries: &[BenchEntry]) -> String {
         let _ = write!(
             out,
             "\n    {{\n      \"id\": \"{}\",\n      \"wall_s\": {:.3},\n      \"scenarios\": [",
-            escape(&e.id),
+            json_escape(&e.id),
             e.wall_s
         );
         for (j, s) in e.scenarios.iter().enumerate() {
@@ -122,7 +107,7 @@ pub fn bench_report_json(entries: &[BenchEntry]) -> String {
                 out,
                 "\n        {{\"label\": \"{}\", \"makespan_ps\": {}, \"jobs\": {}, \
                  \"throughput_jobs_per_sec\": {:.6}, \"energy_j\": {:.6}}}",
-                escape(&s.label),
+                json_escape(&s.label),
                 s.makespan_ps,
                 s.jobs,
                 s.throughput_jobs_per_sec(),

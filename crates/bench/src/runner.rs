@@ -658,21 +658,28 @@ mod tests {
         assert_eq!(stats.hits, 2, "two followers replay");
     }
 
+    /// A scenario that keeps the default `None` fingerprint.
+    struct Unkeyed;
+
+    impl Scenario for Unkeyed {
+        fn label(&self) -> String {
+            "unkeyed".into()
+        }
+
+        fn blueprint(&self) -> reach::MachineBlueprint {
+            reach::MachineBlueprint::paper()
+        }
+
+        fn run(&self, machine: &mut reach::Machine) -> RunReport {
+            let w = CbirWorkload::paper_setup();
+            CbirPipeline::new(w, CbirMapping::AllOnChip).run(machine, 1)
+        }
+    }
+
     #[test]
     fn uncacheable_scenarios_bypass_the_cache() {
-        use reach::{FnScenario, MachineBlueprint};
-        let point = || -> Box<dyn Scenario> {
-            Box::new(FnScenario::new(
-                "closure",
-                MachineBlueprint::paper(),
-                |machine| {
-                    let w = CbirWorkload::paper_setup();
-                    CbirPipeline::new(w, CbirMapping::AllOnChip).run(machine, 1)
-                },
-            ))
-        };
         let runner = ScenarioRunner::new(2);
-        let _ = runner.run_all(vec![point(), point()]);
+        let _ = runner.run_all(vec![Box::new(Unkeyed), Box::new(Unkeyed)]);
         assert_eq!(runner.cache_stats(), crate::cache::CacheStats::default());
     }
 

@@ -563,6 +563,48 @@ pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
     rows
 }
 
+/// The scenario behind [`recall_vs_compression_with`].
+struct RecallScenario;
+
+impl Scenario for RecallScenario {
+    fn label(&self) -> String {
+        "extension/recall-vs-compression".into()
+    }
+
+    fn blueprint(&self) -> reach::MachineBlueprint {
+        blueprint_with(1, 1)
+    }
+
+    fn run(&self, _machine: &mut reach::Machine) -> RunReport {
+        use reach::{MetricValue, MetricsSnapshot};
+        let mut metrics = MetricsSnapshot::new(0);
+        for (i, row) in recall_vs_compression().iter().enumerate() {
+            let gauge = |v: f64| MetricValue::Gauge { mean: v, last: v };
+            metrics.set(
+                &format!("recall.{i:02}.bytes_per_vector"),
+                gauge(row.bytes_per_vector),
+            );
+            metrics.set(
+                &format!("recall.{i:02}.recall_at_10"),
+                gauge(row.recall_at_10),
+            );
+        }
+        RunReport {
+            metrics,
+            ..RunReport::default()
+        }
+    }
+
+    fn config_fingerprint(&self) -> Option<reach::ConfigFingerprint> {
+        let mut b = reach_sim::FingerprintBuilder::new("reach-recall-vs-compression-v1");
+        b.write_u64(reach_sim::rng::DEFAULT_SEED);
+        for method in RECALL_METHODS {
+            b.write_str(method);
+        }
+        Some(reach::ConfigFingerprint::from_builder(b))
+    }
+}
+
 /// [`recall_vs_compression`] through an executor, as one cacheable
 /// [`Scenario`]: the rows travel inside a [`RunReport`]'s metrics (two
 /// gauges per row under `recall.NN.*`), so the runner's result cache —
@@ -579,50 +621,11 @@ pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
 /// scenario under this fingerprint.
 #[must_use]
 pub fn recall_vs_compression_with(executor: &dyn ScenarioExecutor) -> Vec<RecallCompressionRow> {
-    use reach::fingerprint::ConfigFingerprint;
-    use reach::{FnScenario, GamStats, MetricValue, MetricsSnapshot, SimDuration};
-    use reach_sim::FingerprintBuilder;
-
-    let mut b = FingerprintBuilder::new("reach-recall-vs-compression-v1");
-    b.write_u64(reach_sim::rng::DEFAULT_SEED);
-    for method in RECALL_METHODS {
-        b.write_str(method);
-    }
-    let fingerprint = ConfigFingerprint::from_builder(b);
-
-    let scenario = FnScenario::new(
-        "extension/recall-vs-compression",
-        blueprint_with(1, 1),
-        |_machine| {
-            let rows = recall_vs_compression();
-            let mut metrics = MetricsSnapshot::new(0);
-            for (i, row) in rows.iter().enumerate() {
-                let gauge = |v: f64| MetricValue::Gauge { mean: v, last: v };
-                metrics.set(
-                    &format!("recall.{i:02}.bytes_per_vector"),
-                    gauge(row.bytes_per_vector),
-                );
-                metrics.set(
-                    &format!("recall.{i:02}.recall_at_10"),
-                    gauge(row.recall_at_10),
-                );
-            }
-            RunReport {
-                makespan: SimDuration::ZERO,
-                jobs: 0,
-                job_latency_mean: SimDuration::ZERO,
-                job_latency_last: SimDuration::ZERO,
-                stages: Vec::new(),
-                ledger: EnergyLedger::new(),
-                gam: GamStats::default(),
-                completions: Vec::new(),
-                metrics,
-            }
-        },
-    )
-    .with_fingerprint(fingerprint);
-
-    let report = executor.run_all(vec![Box::new(scenario)]).remove(0).report;
+    use reach::MetricValue;
+    let report = executor
+        .run_all(vec![Box::new(RecallScenario)])
+        .remove(0)
+        .report;
     RECALL_METHODS
         .iter()
         .enumerate()

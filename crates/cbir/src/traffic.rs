@@ -24,8 +24,7 @@ use crate::workload::CbirWorkload;
 use reach::fingerprint::ConfigFingerprint;
 use reach::traffic::ArrivalProcess;
 use reach::{
-    Machine, MachineBlueprint, MetricValue, OpenLoop, RunReport, Scenario, ScenarioExecutor,
-    SimDuration,
+    Machine, MachineBlueprint, OpenLoop, RunReport, Scenario, ScenarioExecutor, SimDuration,
 };
 use reach_sim::FingerprintBuilder;
 use std::fmt;
@@ -192,14 +191,6 @@ impl fmt::Display for TrafficRow {
     }
 }
 
-/// Final value of a latency counter in a report's telemetry (0 if absent).
-fn latency_counter(report: &RunReport, name: &str) -> u64 {
-    match report.metrics.get(name) {
-        Some(MetricValue::Counter { value }) => *value,
-        _ => 0,
-    }
-}
-
 fn row_from(source: &'static str, rate_per_sec: u64, offered: usize, r: &RunReport) -> TrafficRow {
     let ms = |ps: u64| ps as f64 * 1e-9;
     TrafficRow {
@@ -209,10 +200,10 @@ fn row_from(source: &'static str, rate_per_sec: u64, offered: usize, r: &RunRepo
         admitted: r.jobs,
         rejected: r.gam.jobs_rejected,
         mean_ms: r.job_latency_mean.as_ms_f64(),
-        p50_ms: ms(latency_counter(r, "latency.job.p50_ps")),
-        p95_ms: ms(latency_counter(r, "latency.job.p95_ps")),
-        p99_ms: ms(latency_counter(r, "latency.job.p99_ps")),
-        p999_ms: ms(latency_counter(r, "latency.job.p999_ps")),
+        p50_ms: ms(r.metrics.counter("latency.job.p50_ps")),
+        p95_ms: ms(r.metrics.counter("latency.job.p95_ps")),
+        p99_ms: ms(r.metrics.counter("latency.job.p99_ps")),
+        p999_ms: ms(r.metrics.counter("latency.job.p999_ps")),
     }
 }
 
@@ -295,7 +286,7 @@ pub fn traffic_knee_with(executor: &dyn ScenarioExecutor) -> Vec<TrafficRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach::SequentialExecutor;
+    use reach::{MetricValue, SequentialExecutor};
 
     #[test]
     fn low_rate_admits_everything() {
@@ -333,7 +324,7 @@ mod tests {
             }
         }
         assert!(
-            latency_counter(&r, "latency.job.p999_ps") >= latency_counter(&r, "latency.job.p50_ps")
+            r.metrics.counter("latency.job.p999_ps") >= r.metrics.counter("latency.job.p50_ps")
         );
     }
 

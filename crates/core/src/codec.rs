@@ -398,6 +398,7 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::machine::Machine;
     use crate::work::{DataAccess, TaskWork};
+    use proptest::prelude::*;
     use reach_accel::ComputeLevel;
     use reach_gam::JobBuilder;
 
@@ -483,11 +484,8 @@ mod tests {
         assert_eq!(encode_report(&decoded), bytes, "canonical bytes drifted");
     }
 
-    /// The same witness against a report from a real machine run — the
-    /// codec must cover whatever the machine actually emits, not just the
-    /// hand-built sample.
-    #[test]
-    fn round_trips_a_real_machine_report() {
+    /// A report from a real (one-task) machine run.
+    fn real_report() -> RunReport {
         let mut machine = Machine::new(SystemConfig::paper_table2());
         let mut job = JobBuilder::new(0);
         let t = job.task(
@@ -511,12 +509,63 @@ mod tests {
             )]
             .into(),
         );
-        let report = machine.run();
+        machine.run()
+    }
+
+    /// The same witness against a report from a real machine run — the
+    /// codec must cover whatever the machine actually emits, not just the
+    /// hand-built sample.
+    #[test]
+    fn round_trips_a_real_machine_report() {
+        let report = real_report();
         let bytes = encode_report(&report);
         let decoded = decode_report(&bytes).expect("decode");
         assert_eq!(decoded.to_string(), report.to_string());
         assert_eq!(decoded.metrics.to_json(), report.metrics.to_json());
         assert_eq!(encode_report(&decoded), bytes);
+    }
+
+    /// Adds `delta` (1..=255, so the byte always changes) to one byte of
+    /// `report`'s encoding, at `at` modulo its length, and decodes.
+    fn decode_mutated(report: &RunReport, at: usize, delta: u16) -> Result<RunReport, CodecError> {
+        let mut bytes = encode_report(report);
+        let i = at % bytes.len();
+        bytes[i] = bytes[i].wrapping_add(delta as u8);
+        decode_report(&bytes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The disk store feeds whatever is on disk to the decoder: any
+        /// bytes, with or without a valid version header, decode to `Ok`
+        /// or `Err` — never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            versioned in any::<bool>(),
+            tail in proptest::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let mut bytes = Vec::new();
+            if versioned {
+                put_u32(&mut bytes, REPORT_CODEC_VERSION);
+            }
+            bytes.extend(tail);
+            let _ = decode_report(&bytes);
+        }
+
+        /// Any single corrupted byte of a sample report's encoding decodes
+        /// without panicking.
+        #[test]
+        fn a_mutated_sample_report_never_panics(at in 0usize..4096, delta in 1u16..256) {
+            let _ = decode_mutated(&sample_report(), at, delta);
+        }
+
+        /// Any single corrupted byte of a real machine report's encoding
+        /// decodes without panicking.
+        #[test]
+        fn a_mutated_machine_report_never_panics(at in 0usize..4096, delta in 1u16..256) {
+            let _ = decode_mutated(&real_report(), at, delta);
+        }
     }
 
     /// Decoding any strict prefix fails with an error — never a panic.

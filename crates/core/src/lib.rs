@@ -31,7 +31,8 @@
 //! * [`scenario`] — [`Scenario`]: one trait for every experiment point
 //!   (figures, ablations, co-runs, sweeps), plus the [`ScenarioExecutor`]
 //!   contract that lets `reach-bench` fan independent points across
-//!   threads with byte-identical results.
+//!   threads with byte-identical results, and [`TenantMix`]: co-running
+//!   workloads as data, with a cache key derived from every field.
 //! * [`fleet`] — [`FleetBlueprint`]/[`FleetScenario`]: the topology layer
 //!   above single machines — N nodes with dataset shards, an inter-machine
 //!   link, and a deterministic scatter-gather aggregator.
@@ -91,7 +92,8 @@ pub use fleet::{
 pub use host::{ArrivalProcess, Batcher};
 pub use machine::Machine;
 pub use report::{RunReport, StageSummary};
-pub use scenario::{FnScenario, Scenario, ScenarioExecutor, ScenarioResult, SequentialExecutor};
+pub use scenario::{Scenario, ScenarioExecutor, ScenarioResult, SequentialExecutor};
+pub use scenario::{Schedule, Tenant, TenantMix};
 pub use trace::{Trace, TraceEvent, TraceKind};
 pub use traffic::{OpenLoop, TrafficReport};
 pub use work::{DataAccess, TaskWork};

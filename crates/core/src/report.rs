@@ -26,8 +26,9 @@ impl StageSummary {
     }
 }
 
-/// The result of running a workload on a [`crate::Machine`].
-#[derive(Clone, Debug)]
+/// The result of running a workload on a [`crate::Machine`]. The default is
+/// the empty report: no jobs, zero makespan, no energy and no metrics.
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Wall-clock simulated time from first submission to quiescence.
     pub makespan: SimDuration,

@@ -9,12 +9,17 @@
 //! across threads in `reach-bench`'s `ScenarioRunner` — with byte-identical
 //! results: determinism comes from each scenario's own seed, never from
 //! execution order.
+//!
+//! Co-running workloads are data: a [`TenantMix`] lists [`Tenant`]s, so
+//! its cache key is derived from its fields rather than vouched for.
 
+use crate::api::Pipeline;
 use crate::blueprint::MachineBlueprint;
 use crate::fingerprint::ConfigFingerprint;
 use crate::fleet::FleetScenario;
 use crate::machine::Machine;
 use crate::report::RunReport;
+use reach_sim::{FingerprintBuilder, SimTime};
 
 /// Default seed for scenarios that do not choose one
 /// (re-exported from `reach_sim::rng`).
@@ -48,14 +53,15 @@ pub trait Scenario: Send + Sync {
 
     /// A canonical digest of *everything* that determines this scenario's
     /// [`RunReport`] — machine blueprint, compiled pipeline, batch count,
-    /// execution mode, seed — or `None` if the scenario cannot fully
-    /// describe itself (e.g. a closure-backed [`FnScenario`]).
+    /// execution mode, seed — or `None` (the default: never cached).
     ///
     /// The contract a `Some` return signs up for: two scenarios with equal
     /// fingerprints produce byte-identical reports, so executors may run
-    /// one and replay the report for the other. Return `None` unless every
-    /// input to `run` is covered; an under-keyed fingerprint silently
-    /// poisons any result cache built on it.
+    /// one and replay the report for the other. Derive it from the fields
+    /// `run` reads, as [`crate::TenantMix`] does by exhaustive
+    /// destructuring, rather than composing it by hand; an under-keyed
+    /// fingerprint silently poisons any result cache built on it, and the
+    /// persistent disk tier outlives the process.
     fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
         None
     }
@@ -139,57 +145,100 @@ impl ScenarioExecutor for SequentialExecutor {
     }
 }
 
-/// A closure-backed scenario for one-off experiment points.
-pub struct FnScenario<F> {
-    label: String,
-    seed: u64,
-    blueprint: MachineBlueprint,
-    fingerprint: Option<ConfigFingerprint>,
-    body: F,
+/// When a tenant's jobs reach the GAM.
+#[derive(Clone, Debug)]
+pub enum Schedule {
+    /// `jobs` jobs submitted up front, as [`Pipeline::run`] does.
+    Upfront {
+        /// Jobs submitted.
+        jobs: usize,
+    },
+    /// `per_instant` jobs at each instant, via
+    /// [`Machine::submit_at_bounded`] when `admission_depth` is set and
+    /// [`Machine::submit_at`] otherwise.
+    At {
+        /// Arrival instants, in submission order.
+        instants: Vec<SimTime>,
+        /// Jobs arriving at each instant.
+        per_instant: usize,
+        /// Admission-queue depth, or `None` to admit every arrival.
+        admission_depth: Option<usize>,
+    },
 }
 
-impl<F> FnScenario<F>
-where
-    F: Fn(&mut Machine) -> RunReport + Send + Sync,
-{
-    /// A scenario running `body` on a machine built from `blueprint`.
-    pub fn new(label: impl Into<String>, blueprint: MachineBlueprint, body: F) -> Self {
-        FnScenario {
-            label: label.into(),
-            seed: reach_sim::rng::session_seed(),
-            blueprint,
-            fingerprint: None,
-            body,
+/// One job's submission: up front (`None`), or at an instant behind an
+/// optional admission bound.
+type Submission = Option<(SimTime, Option<usize>)>;
+
+impl Schedule {
+    /// Every job's submission, in job-id order.
+    fn submissions(&self) -> Vec<Submission> {
+        match *self {
+            Schedule::Upfront { jobs } => vec![None; jobs],
+            Schedule::At {
+                ref instants,
+                per_instant,
+                admission_depth,
+            } => instants
+                .iter()
+                .flat_map(|&at| vec![Some((at, admission_depth)); per_instant])
+                .collect(),
         }
     }
+}
 
-    /// Overrides the seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
+/// One workload of a [`TenantMix`]; it owns the job ids from `first_job`
+/// up to its schedule's job count.
+#[derive(Clone, Debug)]
+pub struct Tenant {
+    /// Attribution name (`tenant.<name>.*` in the metrics snapshot).
+    pub name: String,
+    /// The compiled pipeline every job is built from.
+    pub pipeline: Pipeline,
+    /// The first job id.
+    pub first_job: u64,
+    /// When the jobs arrive.
+    pub schedule: Schedule,
+}
 
-    /// Declares a [`Scenario::config_fingerprint`] for this closure.
+/// [`Tenant`]s co-running on one machine, as a cacheable [`Scenario`].
+#[derive(Clone, Debug)]
+pub struct TenantMix {
+    label: String,
+    blueprint: MachineBlueprint,
+    seed: u64,
+    tenants: Vec<Tenant>,
+}
+
+impl TenantMix {
+    /// A mix on a machine built from `blueprint`, at the session seed.
     ///
-    /// The executor cannot see inside `body`, so this is a *vouch*: the
-    /// caller asserts that `fingerprint` covers every input the closure's
-    /// report depends on (blueprint, pipelines, batch counts, seed, …) —
-    /// exactly the contract `config_fingerprint` documents. Hand-compose
-    /// the digest from the same fingerprint plumbing the structural
-    /// scenario types use; an under-keyed vouch silently poisons any
-    /// result cache, which with a persistent tier outlives the process.
-    #[must_use]
-    pub fn with_fingerprint(mut self, fingerprint: ConfigFingerprint) -> Self {
-        self.fingerprint = Some(fingerprint);
-        self
+    /// # Panics
+    ///
+    /// Panics if a tenant submits no jobs.
+    pub fn new(
+        label: impl Into<String>,
+        blueprint: MachineBlueprint,
+        tenants: Vec<Tenant>,
+    ) -> Self {
+        for t in &tenants {
+            let jobs = t.schedule.submissions().len();
+            assert!(
+                jobs > 0,
+                "TenantMix::new: tenant {} submits no jobs",
+                t.name
+            );
+        }
+        TenantMix {
+            label: label.into(),
+            blueprint,
+            seed: reach_sim::rng::session_seed(),
+            tenants,
+        }
     }
 }
 
-impl<F> Scenario for FnScenario<F>
-where
-    F: Fn(&mut Machine) -> RunReport + Send + Sync,
-{
+impl Scenario for TenantMix {
     fn label(&self) -> String {
         self.label.clone()
     }
@@ -202,30 +251,92 @@ where
         self.blueprint.clone()
     }
 
+    /// Declares every tenant on its span, submits tenant by tenant in
+    /// declaration order with consecutive job ids, and runs the machine.
     fn run(&self, machine: &mut Machine) -> RunReport {
-        (self.body)(machine)
+        for t in &self.tenants {
+            let end = t.first_job + t.schedule.submissions().len() as u64;
+            machine.declare_tenant(&t.name, t.first_job, end);
+        }
+        for t in &self.tenants {
+            for (id, submission) in (t.first_job..).zip(t.schedule.submissions()) {
+                let (job, works) = t.pipeline.job_for_batch(id);
+                match submission {
+                    None => machine.submit(job, works),
+                    Some((at, None)) => machine.submit_at(at, job, works),
+                    Some((at, Some(depth))) => machine.submit_at_bounded(at, job, works, depth),
+                }
+            }
+        }
+        machine.run()
     }
 
+    /// Every field but the label; `At` instants are keyed as times.
     fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
-        self.fingerprint
+        let TenantMix {
+            label: _,
+            blueprint,
+            seed,
+            tenants,
+        } = self;
+        let mut b = FingerprintBuilder::new("reach-tenant-mix-v1");
+        blueprint.fingerprint().write_into(&mut b);
+        b.write_u64(*seed);
+        b.write_usize(tenants.len());
+        for Tenant {
+            name,
+            pipeline,
+            first_job,
+            schedule,
+        } in tenants
+        {
+            b.write_str(name);
+            pipeline.fingerprint().write_into(&mut b);
+            b.write_u64(*first_job);
+            match schedule {
+                Schedule::Upfront { jobs } => {
+                    b.write_str("upfront");
+                    b.write_usize(*jobs);
+                }
+                Schedule::At {
+                    instants,
+                    per_instant,
+                    admission_depth,
+                } => {
+                    b.write_str("at");
+                    b.write_usize(instants.len());
+                    instants.iter().for_each(|at| b.write_u64(at.as_ps()));
+                    b.write_usize(*per_instant);
+                    b.write_debug(admission_depth);
+                }
+            }
+        }
+        Some(ConfigFingerprint::from_builder(b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ExecMode, Level, Pipeline, ReachConfig};
+    use crate::api::{Level, ReachConfig};
+    use crate::config::SystemConfig;
     use crate::work::TaskWork;
+    use reach_sim::SimDuration;
 
     fn demo_scenario(batches: usize) -> impl Scenario {
         let mut cfg = ReachConfig::new();
         let acc = cfg.register_acc("VGG16-VU9P", Level::OnChip);
         let mut pipeline = Pipeline::new(cfg.build().expect("demo config"));
         pipeline.call(acc, TaskWork::compute(1_000_000_000), "fe");
-        FnScenario::new(
+        TenantMix::new(
             format!("demo/x{batches}"),
             MachineBlueprint::paper(),
-            move |machine| pipeline.run_mode(machine, batches, ExecMode::Pipelined),
+            vec![Tenant {
+                name: "demo".into(),
+                pipeline,
+                first_job: 0,
+                schedule: Schedule::Upfront { jobs: batches },
+            }],
         )
     }
 
@@ -249,5 +360,133 @@ mod tests {
         let labels: Vec<_> = results.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(labels, ["demo/x1", "demo/x3", "demo/x2"]);
         assert_eq!(results[1].report.jobs, 3);
+    }
+
+    fn pipeline(macs: u64) -> Pipeline {
+        let mut cfg = ReachConfig::new();
+        let acc = cfg.register_acc("VGG16-VU9P", Level::OnChip);
+        let mut p = Pipeline::new(cfg.build().expect("demo config"));
+        p.call(acc, TaskWork::compute(macs), "fe");
+        p
+    }
+
+    fn at(instants: &[u64], per_instant: usize, depth: Option<usize>) -> Schedule {
+        Schedule::At {
+            instants: instants
+                .iter()
+                .map(|&ms| SimTime::ZERO + SimDuration::from_ms(ms))
+                .collect(),
+            per_instant,
+            admission_depth: depth,
+        }
+    }
+
+    fn mix() -> TenantMix {
+        TenantMix::new(
+            "mix",
+            MachineBlueprint::paper(),
+            vec![
+                Tenant {
+                    name: "a".into(),
+                    pipeline: pipeline(1_000_000),
+                    first_job: 0,
+                    schedule: Schedule::Upfront { jobs: 2 },
+                },
+                Tenant {
+                    name: "b".into(),
+                    pipeline: pipeline(2_000_000),
+                    first_job: 16,
+                    schedule: at(&[1, 2], 2, Some(4)),
+                },
+            ],
+        )
+    }
+
+    #[test]
+    fn every_keyed_field_moves_the_fingerprint() {
+        let base = mix().config_fingerprint();
+        type Edit = (&'static str, fn(&mut TenantMix));
+        let edits: Vec<Edit> = vec![
+            ("blueprint", |m| {
+                m.blueprint =
+                    MachineBlueprint::new(SystemConfig::paper_table2().with_near_memory(2));
+            }),
+            ("seed", |m| m.seed ^= 1),
+            ("tenant order", |m| m.tenants.reverse()),
+            ("name", |m| m.tenants[0].name = "c".into()),
+            ("first_job", |m| m.tenants[1].first_job += 1),
+            ("pipeline", |m| m.tenants[0].pipeline = pipeline(1_000_001)),
+            ("variant", |m| m.tenants[0].schedule = at(&[0], 2, None)),
+            ("upfront jobs", |m| {
+                m.tenants[0].schedule = Schedule::Upfront { jobs: 3 };
+            }),
+            ("one instant", |m| {
+                m.tenants[1].schedule = at(&[1, 3], 2, Some(4))
+            }),
+            ("per_instant", |m| {
+                m.tenants[1].schedule = at(&[1, 2], 1, Some(4))
+            }),
+            ("admission depth", |m| {
+                m.tenants[1].schedule = at(&[1, 2], 2, Some(5));
+            }),
+            ("admission bound", |m| {
+                m.tenants[1].schedule = at(&[1, 2], 2, None)
+            }),
+        ];
+        for (field, edit) in edits {
+            let mut m = mix();
+            edit(&mut m);
+            assert_ne!(m.config_fingerprint(), base, "{field} is not keyed");
+        }
+        let mut relabelled = mix();
+        relabelled.label = "other".into();
+        assert_eq!(relabelled.config_fingerprint(), base, "the label is keyed");
+    }
+
+    #[test]
+    fn runs_every_tenant_on_its_derived_span() {
+        let report = mix().execute();
+        assert_eq!(report.jobs, 6);
+        for (name, jobs) in [("a", 2), ("b", 4)] {
+            assert_eq!(
+                report.metrics.get(&format!("tenant.{name}.jobs_completed")),
+                Some(&reach_sim::MetricValue::Counter { value: jobs }),
+                "tenant {name}"
+            );
+        }
+    }
+
+    /// An up-front tenant alone is exactly `Pipeline::run`.
+    #[test]
+    fn an_upfront_tenant_runs_like_the_pipeline() {
+        let mix = TenantMix::new(
+            "solo",
+            MachineBlueprint::paper(),
+            vec![Tenant {
+                name: "a".into(),
+                pipeline: pipeline(1_000_000),
+                first_job: 0,
+                schedule: Schedule::Upfront { jobs: 3 },
+            }],
+        );
+        let direct = pipeline(1_000_000).run(&mut MachineBlueprint::paper().instantiate(), 3);
+        let report = mix.execute();
+        assert_eq!(report.to_string(), direct.to_string());
+        assert_eq!(report.completions, direct.completions);
+    }
+
+    #[test]
+    #[should_panic(expected = "TenantMix::new: tenant idle submits no jobs")]
+    fn a_tenant_without_jobs_is_rejected_when_built() {
+        let _ = TenantMix::new(
+            "empty",
+            MachineBlueprint::paper(),
+            vec![Tenant {
+                name: "idle".into(),
+                pipeline: pipeline(1),
+                first_job: 0,
+                schedule: at(&[1, 2], 0, None),
+            }],
+        );
     }
 }

@@ -9,6 +9,7 @@
 //! The serializer is hand-rolled (the format is a flat JSON array of small
 //! objects) so the workspace keeps its minimal dependency set.
 
+use reach_sim::metrics::json_escape;
 use reach_sim::{SimDuration, SimTime};
 
 /// What kind of activity an event records.
@@ -97,31 +98,17 @@ impl Trace {
             }
             out.push_str(&format!(
                 "  {{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":\"{}\",\"tid\":{}}}",
-                escape(&e.name),
+                json_escape(&e.name),
                 e.kind.category(),
                 e.start.as_us_f64(),
                 e.duration.as_us_f64(),
-                escape(&e.track),
+                json_escape(&e.track),
                 e.lane
             ));
         }
         out.push_str("\n]\n");
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -168,7 +155,7 @@ mod tests {
     fn strings_are_escaped() {
         let json = sample().to_chrome_json();
         assert!(json.contains("db \\\"stage\\\""));
-        assert_eq!(escape("a\\b\"c\n"), "a\\\\b\\\"c\\u000a");
+        assert_eq!(json_escape("a\\b\"c\n"), "a\\\\b\\\"c\\u000a");
     }
 
     #[test]

@@ -12,22 +12,21 @@
 //! (`mem.ddr.contended_cycles`, `mem.aimbus.queued_ps`) and per-tenant
 //! dispatch/latency attribution ([`reach_gam::tenant::TenantLedger`]).
 //!
-//! Job-id spaces are disjoint: CBIR arrivals from 0, graph batches from
-//! [`GRAPH_JOB_BASE`]. Both runs declare the same tenants and admission
-//! depth, so the ledgers line up row for row.
+//! Both points are [`TenantMix`]es: the solo point is the CBIR tenant
+//! alone, the co-run point adds the graph tenant. Job-id spaces are
+//! disjoint: CBIR arrivals from 0, graph batches from [`GRAPH_JOB_BASE`].
 
 use crate::csr::{GraphKind, GraphSpec};
 use crate::pipeline::{lower, GraphPlacement, WorkloadShape};
 use crate::templates::graph_registry;
-use reach::fingerprint::ConfigFingerprint;
 use reach::traffic::ArrivalProcess;
 use reach::{
-    FnScenario, MachineBlueprint, MetricValue, Pipeline, RunReport, Scenario, ScenarioExecutor,
-    SystemConfig,
+    MachineBlueprint, Pipeline, Scenario, ScenarioExecutor, Schedule, SystemConfig, Tenant,
+    TenantMix,
 };
 use reach_cbir::pipeline::CbirStage;
-use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
-use reach_sim::{FingerprintBuilder, SimDuration};
+use reach_cbir::CbirPipeline;
+use reach_sim::SimDuration;
 use std::fmt;
 
 /// Offered CBIR arrival rates swept, in query batches per second. Both
@@ -48,10 +47,7 @@ pub const CORUN_QUEUE_DEPTH: usize = 12;
 /// [`graph_corun_rows_with`] for why they share instants).
 pub const GRAPH_JOBS_PER_ARRIVAL: usize = 2;
 
-/// Graph batch jobs submitted during the serving window.
-pub const CORUN_GRAPH_BATCHES: usize = CORUN_OFFERED * GRAPH_JOBS_PER_ARRIVAL;
-
-/// First job id of the graph tenant (CBIR owns `0..GRAPH_JOB_BASE`).
+/// First job id of the graph tenant, above every CBIR arrival's id.
 pub const GRAPH_JOB_BASE: u64 = 512;
 
 /// The graph batch tenant's workload: a near-memory PageRank big enough
@@ -96,14 +92,6 @@ pub fn corun_blueprint() -> MachineBlueprint {
             .with_near_storage(4),
         graph_registry(),
     )
-}
-
-/// Final value of a counter in a report's telemetry (0 if absent).
-fn counter(report: &RunReport, name: &str) -> u64 {
-    match report.metrics.get(name) {
-        Some(MetricValue::Counter { value }) => *value,
-        _ => 0,
-    }
 }
 
 /// One co-run sweep row: the solo and shared serving points at one rate.
@@ -187,93 +175,54 @@ impl fmt::Display for CorunRow {
 pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
     let blueprint = corun_blueprint();
     let seed = reach_sim::rng::session_seed();
-    let cbir = CbirPipeline::new(CbirWorkload::paper_setup(), CbirMapping::Proper);
-
-    // Vouched fingerprints for the closures below: each report is fully
-    // determined by the machine shape, the two compiled pipelines, the
-    // arrival process (variant + parameters + embedded seed via the debug
-    // rendering), the offered count, the admission depth, the graph batch
-    // schedule and the session seed. The solo points key on the graph
-    // pipeline too, though they never submit it: that over-keys them, so
-    // it can never under-key, and it is cheap because the pipeline is
-    // lowered once from counts and shared by every closure here.
-    let cbir_compiled = cbir.compile(blueprint.config(), blueprint.registry(), &CbirStage::ALL);
+    let cbir = CbirPipeline::paper_proper().compile(
+        blueprint.config(),
+        blueprint.registry(),
+        &CbirStage::ALL,
+    );
     let graph = corun_graph_pipeline();
-    let graph_fp = graph.fingerprint();
-    let vouch = |tag: &str, arrival: &ArrivalProcess| {
-        let mut b = FingerprintBuilder::new("reach-graph-corun-v1");
-        b.write_str(tag);
-        blueprint.fingerprint().write_into(&mut b);
-        cbir_compiled.fingerprint().write_into(&mut b);
-        graph_fp.write_into(&mut b);
-        b.write_debug(arrival);
-        b.write_usize(CORUN_OFFERED);
-        b.write_usize(CORUN_QUEUE_DEPTH);
-        b.write_usize(GRAPH_JOBS_PER_ARRIVAL);
-        b.write_u64(seed);
-        ConfigFingerprint::from_builder(b)
-    };
 
     let mut scenarios: Vec<Box<dyn Scenario>> = Vec::new();
     for &rate in &CORUN_RATES_PER_SEC {
-        let arrival = ArrivalProcess::Poisson {
+        let instants = ArrivalProcess::Poisson {
             mean_gap: SimDuration::from_secs_f64(1.0 / rate as f64),
             seed,
+        }
+        .arrivals(CORUN_OFFERED);
+        let cbir_tenant = Tenant {
+            name: "cbir".into(),
+            pipeline: cbir.clone(),
+            first_job: 0,
+            schedule: Schedule::At {
+                instants: instants.clone(),
+                per_instant: 1,
+                admission_depth: Some(CORUN_QUEUE_DEPTH),
+            },
         };
-
-        let solo_arrival = arrival.clone();
-        let solo_cbir = cbir;
-        scenarios.push(Box::new(
-            FnScenario::new(
-                format!("corun/{rate}qps/solo"),
-                blueprint.clone(),
-                move |machine| {
-                    machine.declare_tenant("cbir", 0, GRAPH_JOB_BASE);
-                    let compiled = solo_cbir.build(machine);
-                    for (i, at) in solo_arrival.arrivals(CORUN_OFFERED).into_iter().enumerate() {
-                        let (job, works) = compiled.job_for_batch(i as u64);
-                        machine.submit_at_bounded(at, job, works, CORUN_QUEUE_DEPTH);
-                    }
-                    machine.run()
-                },
-            )
-            .with_fingerprint(vouch("solo", &arrival)),
-        ));
-
-        let corun_arrival = arrival.clone();
-        let corun_cbir = cbir;
-        let graph = graph.clone();
-        scenarios.push(Box::new(
-            FnScenario::new(
-                format!("corun/{rate}qps/shared"),
-                blueprint.clone(),
-                move |machine| {
-                    machine.declare_tenant("cbir", 0, GRAPH_JOB_BASE);
-                    machine.declare_tenant("graph", GRAPH_JOB_BASE, 2 * GRAPH_JOB_BASE);
-                    let compiled = corun_cbir.build(machine);
-                    // The batch tenant submits its jobs at the query
-                    // arrival instants (fully correlated phase): every
-                    // serving point then measures interference by
-                    // construction instead of leaving the overlap between
-                    // the two tenants to the luck of the seed.
-                    for (i, at) in corun_arrival
-                        .arrivals(CORUN_OFFERED)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        let (job, works) = compiled.job_for_batch(i as u64);
-                        machine.submit_at_bounded(at, job, works, CORUN_QUEUE_DEPTH);
-                        for g in 0..GRAPH_JOBS_PER_ARRIVAL {
-                            let id = GRAPH_JOB_BASE + (i * GRAPH_JOBS_PER_ARRIVAL + g) as u64;
-                            let (job, works) = graph.job_for_batch(id);
-                            machine.submit_at(at, job, works);
-                        }
-                    }
-                    machine.run()
-                },
-            )
-            .with_fingerprint(vouch("shared", &arrival)),
-        ));
+        // The batch tenant submits its jobs at the query arrival instants
+        // (fully correlated phase): every serving point then measures
+        // interference by construction instead of leaving the overlap
+        // between the two tenants to the luck of the seed.
+        let graph_tenant = Tenant {
+            name: "graph".into(),
+            pipeline: graph.clone(),
+            first_job: GRAPH_JOB_BASE,
+            schedule: Schedule::At {
+                instants,
+                per_instant: GRAPH_JOBS_PER_ARRIVAL,
+                admission_depth: None,
+            },
+        };
+        scenarios.push(Box::new(TenantMix::new(
+            format!("corun/{rate}qps/solo"),
+            blueprint.clone(),
+            vec![cbir_tenant.clone()],
+        )));
+        scenarios.push(Box::new(TenantMix::new(
+            format!("corun/{rate}qps/shared"),
+            blueprint.clone(),
+            vec![cbir_tenant, graph_tenant],
+        )));
     }
 
     let results = executor.run_all(scenarios);
@@ -285,23 +234,23 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
             let [solo, shared] = pair else {
                 unreachable!("two scenarios per rate")
             };
-            let s = &solo.report;
-            let c = &shared.report;
+            let s = &solo.report.metrics;
+            let c = &shared.report.metrics;
             CorunRow {
                 rate_per_sec: rate,
                 offered: CORUN_OFFERED,
-                solo_admitted: counter(s, "tenant.cbir.jobs_completed"),
-                solo_rejected: counter(s, "tenant.cbir.jobs_rejected"),
-                solo_p99_ms: ms(counter(s, "tenant.cbir.latency.p99_ps")),
-                solo_ddr_contended: counter(s, "mem.ddr.contended_cycles"),
-                corun_admitted: counter(c, "tenant.cbir.jobs_completed"),
-                corun_rejected: counter(c, "tenant.cbir.jobs_rejected"),
-                corun_p99_ms: ms(counter(c, "tenant.cbir.latency.p99_ps")),
-                corun_ddr_contended: counter(c, "mem.ddr.contended_cycles"),
-                corun_aimbus_queued_ps: counter(c, "mem.aimbus.queued_ps"),
-                graph_jobs: counter(c, "tenant.graph.jobs_completed"),
-                cbir_dispatches: counter(c, "tenant.cbir.dispatches"),
-                graph_dispatches: counter(c, "tenant.graph.dispatches"),
+                solo_admitted: s.counter("tenant.cbir.jobs_completed"),
+                solo_rejected: s.counter("tenant.cbir.jobs_rejected"),
+                solo_p99_ms: ms(s.counter("tenant.cbir.latency.p99_ps")),
+                solo_ddr_contended: s.counter("mem.ddr.contended_cycles"),
+                corun_admitted: c.counter("tenant.cbir.jobs_completed"),
+                corun_rejected: c.counter("tenant.cbir.jobs_rejected"),
+                corun_p99_ms: ms(c.counter("tenant.cbir.latency.p99_ps")),
+                corun_ddr_contended: c.counter("mem.ddr.contended_cycles"),
+                corun_aimbus_queued_ps: c.counter("mem.aimbus.queued_ps"),
+                graph_jobs: c.counter("tenant.graph.jobs_completed"),
+                cbir_dispatches: c.counter("tenant.cbir.dispatches"),
+                graph_dispatches: c.counter("tenant.graph.dispatches"),
             }
         })
         .collect()
@@ -338,7 +287,10 @@ mod tests {
                 "@{}qps co-run ledger",
                 row.rate_per_sec
             );
-            assert_eq!(row.graph_jobs, CORUN_GRAPH_BATCHES as u64);
+            assert_eq!(
+                row.graph_jobs,
+                (CORUN_OFFERED * GRAPH_JOBS_PER_ARRIVAL) as u64
+            );
             assert!(row.cbir_dispatches > 0 && row.graph_dispatches > 0);
         }
     }

@@ -378,6 +378,15 @@ impl MetricsSnapshot {
         self.metrics.get(name)
     }
 
+    /// The value of counter `name`, or 0 if it is absent or not a counter.
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.get(name) {
+            Some(MetricValue::Counter { value }) => *value,
+            _ => 0,
+        }
+    }
+
     /// Metrics in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
@@ -408,7 +417,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    \"{}\": ", escape(name));
+            let _ = write!(out, "\n    \"{}\": ", json_escape(name));
             match v {
                 MetricValue::Counter { value } => {
                     let _ = write!(out, "{{\"kind\":\"counter\",\"value\":{value}}}");
@@ -492,8 +501,10 @@ impl MetricsSnapshot {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslashes, control chars),
+/// shared by every hand-rolled JSON writer in the workspace.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
