@@ -39,6 +39,7 @@ SPEEDUP_BARS = {
     "reach-bench-pr9-v1": 1.3,
     "reach-bench-pr12-v1": 1.5,
     "reach-bench-pr14-v1": 1.15,
+    "reach-bench-pr16-v1": 3.0,
 }
 
 DISK_CACHE_LINE = re.compile(r"(\d+) disk hit\(s\), (\d+) disk miss\(es\)")

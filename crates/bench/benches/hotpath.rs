@@ -1,8 +1,8 @@
 //! Microbenchmarks of the simulator hot paths: event-queue throughput
 //! (calendar queue), machine steady-state event processing, the parallel
 //! CBIR kernels (GEMM micro-kernel, k-means, product-quantizer training,
-//! top-K), the cross-batch distance cache, and the batched DDR stream
-//! timing model.
+//! top-K), the cross-batch distance cache, and the DDR stream timing
+//! model.
 //!
 //! Set `REACH_BENCH_QUICK=1` to shrink every problem size (the CI
 //! perf-smoke mode); the full sizes are meant for local before/after
@@ -177,30 +177,35 @@ fn bench_cache(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_ddr_stream(c: &mut Criterion) {
+fn bench_dimm_stream(c: &mut Criterion) {
     use reach_mem::{AccessKind, Dimm, DimmConfig, RowPolicy};
 
-    let mut g = c.benchmark_group("hotpath/ddr");
-    let bytes = (scaled(256, 16) as u64) << 20;
-    // Simulated-stream throughput: how fast the timing model itself chews
-    // through a multi-hundred-MiB sequential scan (the refresh-period row
-    // batching collapses ~18 row reservations into one).
-    g.throughput(Throughput::Bytes(bytes));
-    g.bench_function("stream_row_batched", |b| {
-        b.iter(|| {
-            let mut d = Dimm::new(DimmConfig::ddr4_16gb());
-            black_box(
-                d.stream(
-                    SimTime::ZERO,
-                    0,
-                    bytes,
-                    AccessKind::Read,
-                    RowPolicy::OpenPage,
+    // One closed-row scan of a near-memory working set (~550 MB) and one
+    // of 4 GiB. Whole refresh cycles are skipped in one step, so both cost
+    // about the same: the timing model no longer grows with the size, and
+    // quick mode keeps both sizes.
+    let mut g = c.benchmark_group("hotpath/dimm_stream");
+    for (name, bytes) in [
+        ("closed_row_550mb", 550_000_000u64),
+        ("closed_row_4gib", 4 << 30),
+    ] {
+        g.throughput(Throughput::Bytes(bytes));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut d = Dimm::new(DimmConfig::ddr4_16gb());
+                black_box(
+                    d.stream(
+                        SimTime::ZERO,
+                        0,
+                        bytes,
+                        AccessKind::Read,
+                        RowPolicy::ClosedRow,
+                    )
+                    .complete,
                 )
-                .complete,
-            )
+            });
         });
-    });
+    }
     g.finish();
 }
 
@@ -225,7 +230,7 @@ criterion_group!(
     bench_kmeans,
     bench_pq_train,
     bench_cache,
-    bench_ddr_stream,
+    bench_dimm_stream,
     bench_topk
 );
 criterion_main!(hotpath);

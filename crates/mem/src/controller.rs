@@ -220,17 +220,21 @@ impl MemoryController {
                     let bus = channel.bus.reserve(now, bus_time);
                     channel.stats.bytes += per_channel;
                     channel.stats.contended += bus.queueing(now);
-                    for slot in 0..self.config.dimms_per_channel {
-                        let local = (addr / n).min(self.config.dimm.capacity - share);
-                        let r = channel.dimms[slot].stream(
-                            now,
-                            local,
-                            share,
-                            kind,
-                            RowPolicy::OpenPage,
-                        );
-                        start = start.min(r.start);
-                        complete = complete.max(r.complete).max(bus.ready);
+                    // A share larger than one DIMM streams in capacity-sized
+                    // chunks, each after the previous one completes.
+                    let capacity = self.config.dimm.capacity;
+                    for dimm in &mut channel.dimms {
+                        let mut left = share;
+                        let mut at = now;
+                        while left > 0 {
+                            let chunk = left.min(capacity);
+                            let local = (addr / n).min(capacity - chunk);
+                            let r = dimm.stream(at, local, chunk, kind, RowPolicy::OpenPage);
+                            start = start.min(r.start);
+                            at = r.complete;
+                            left -= chunk;
+                        }
+                        complete = complete.max(at).max(bus.ready);
                     }
                 }
             }
@@ -448,6 +452,17 @@ mod tests {
         // Even split across 2 channels.
         assert_eq!(m.channel_bytes(0), m.channel_bytes(1));
         assert_eq!(m.total_channel_bytes(), 1 << 20);
+    }
+
+    #[test]
+    fn cache_line_stream_beyond_total_capacity_streams_in_chunks() {
+        let mut m = mc();
+        let capacity = m.dimm_count() as u64 * m.config().dimm.capacity;
+        let r = m.stream(SimTime::ZERO, 0, 2 * capacity, AccessKind::Read);
+        assert!(r.complete > r.start);
+        assert_eq!(m.total_channel_bytes(), 2 * capacity);
+        assert_eq!(m.channel_bytes(0), m.channel_bytes(1));
+        assert_eq!(m.dram_stats().bytes, 2 * capacity);
     }
 
     #[test]

@@ -316,9 +316,11 @@ impl Dimm {
     /// FR-FCFS controller pipelines a sequential scan.
     ///
     /// Interior full rows are reserved in refresh-period batches via
-    /// [`SerialResource::reserve_many`] — bit-identical timing and stats to
-    /// the row-by-row loop (a property test checks this against a reference
-    /// implementation), but O(rows / rows-per-refresh-period) instead of
+    /// [`SerialResource::reserve_many`], and once the bus phase within the
+    /// refresh period repeats, whole cycles of periods are taken in one
+    /// step. Timing and stats are bit-identical to the row-by-row loop (a
+    /// property test checks this against a reference implementation), but
+    /// the cost is O(periods to reach the cycle + one cycle) instead of
     /// O(rows). The first row (activate lead-in), the final `banks + 1`
     /// rows (per-bank open-row/ready state) and any partial rows stay on
     /// the per-row path.
@@ -348,6 +350,11 @@ impl Dimm {
         let mut remaining = bytes;
         let mut first_start: Option<SimTime> = None;
         let mut complete = now;
+        // Brent cycle detection over the per-period phase recurrence:
+        // `anchor` is a batch start (`p_adj`, `offset`) checkpointed after
+        // `power` batches, and `lap` counts batches since the checkpoint.
+        let mut anchor: Option<(SimTime, u64)> = None;
+        let (mut lap, mut power) = (1u64, 1u64);
 
         while remaining > 0 {
             let in_row = (row_bytes - (offset % row_bytes)).min(remaining);
@@ -361,10 +368,20 @@ impl Dimm {
             // `reserve_many` reproduces its timing exactly. The final
             // `banks + 1` rows are excluded so each bank's open-row and
             // ready-at state is written by the genuine last row touching it.
+            //
+            // Refresh-cycle skip: a batch is a pure function of the phase of
+            // `p_adj` within the refresh period (the blackout adjust, then
+            // the rows that start before the period end, the last one
+            // allowed to overrun), so the phase sequence is eventually
+            // periodic. Once `p_adj` returns to the anchor's phase, the
+            // batches since the anchor repeat verbatim: `cycles` of them
+            // reserve `cycle_rows` rows each and advance the bus by the
+            // anchor-to-here span each, exactly as the per-batch walk would.
             if first_start.is_some() && in_row == row_bytes {
                 let full_rows_left = remaining / row_bytes;
                 let tail_rows = self.config.banks + 1;
                 if full_rows_left > tail_rows {
+                    let eligible = full_rows_left - tail_rows;
                     let lines_per_row = row_bytes / line;
                     let row_service = t.burst_time().scaled(lines_per_row);
                     let p_adj = self.refresh_adjust(now.max(self.bus.free_at()));
@@ -374,20 +391,39 @@ impl Dimm {
                     // p_adj + i*service, valid while strictly below the
                     // period end.
                     let fit = (period_end - p_adj.as_ps()).div_ceil(row_service.as_ps().max(1));
-                    let take = fit.min(full_rows_left - tail_rows);
-                    if take > 0 {
-                        let res = self.bus.reserve_many(p_adj, row_service, take);
-                        complete = res.ready;
-                        self.stats.activations += take;
-                        self.stats.bytes += take * row_bytes;
-                        match kind {
-                            AccessKind::Read => self.stats.read_bursts += take * lines_per_row,
-                            AccessKind::Write => self.stats.write_bursts += take * lines_per_row,
+                    let mut take = fit.min(eligible);
+                    let mut cycle_end = None;
+                    if let Some((at, from)) = anchor {
+                        let span = p_adj - at;
+                        let cycle_rows = (offset - from) / row_bytes;
+                        let cycles = eligible / cycle_rows;
+                        if span.as_ps().is_multiple_of(refi) && cycles > 0 {
+                            take = cycles * cycle_rows;
+                            cycle_end = Some(p_adj + span * cycles);
                         }
-                        offset += take * row_bytes;
-                        remaining -= take * row_bytes;
-                        continue;
                     }
+                    if lap == power {
+                        anchor = Some((p_adj, offset));
+                        (lap, power) = (0, power * 2);
+                    }
+                    lap += 1;
+
+                    let res = self.bus.reserve_many(p_adj, row_service, take);
+                    complete = res.ready;
+                    if let Some(end) = cycle_end {
+                        // The skipped blackouts idle the bus without
+                        // counting as busy time.
+                        self.bus.block_until(end);
+                    }
+                    self.stats.activations += take;
+                    self.stats.bytes += take * row_bytes;
+                    match kind {
+                        AccessKind::Read => self.stats.read_bursts += take * lines_per_row,
+                        AccessKind::Write => self.stats.write_bursts += take * lines_per_row,
+                    }
+                    offset += take * row_bytes;
+                    remaining -= take * row_bytes;
+                    continue;
                 }
             }
 
@@ -518,6 +554,200 @@ mod tests {
             start: first_start.expect("stream issued at least one row"),
             ready: complete,
             complete,
+        }
+    }
+
+    /// The timings the oracle runs under: the shipped DDR4-2400; a small
+    /// tRFC, whose batch phase needs several refresh periods to return;
+    /// and a tREFI of exactly 18 row services, whose phase never enters
+    /// the blackout.
+    fn oracle_timings() -> [DdrTiming; 3] {
+        let ddr4 = DdrTiming::ddr4_2400();
+        let cfg = DimmConfig::ddr4_16gb();
+        let row_service = ddr4.burst_time().scaled(cfg.row_bytes / cfg.line_bytes);
+        [
+            ddr4,
+            DdrTiming {
+                t_rfc: SimDuration::from_ns(40),
+                ..ddr4
+            },
+            DdrTiming {
+                t_refi: row_service.scaled(18),
+                ..ddr4
+            },
+        ]
+    }
+
+    /// The phase (within the refresh period) of each batch start the
+    /// stream's batched path walks from `phase`, one refresh period per
+    /// step: returns `(steps before the cycle, cycle length in periods)`.
+    fn batch_phase_cycle(t: &DdrTiming, row_service: u64, mut phase: u64) -> (usize, usize) {
+        let (refi, rfc) = (t.t_refi.as_ps(), t.t_rfc.as_ps());
+        let mut seen = Vec::new();
+        while !seen.contains(&phase) {
+            seen.push(phase);
+            let raw = (phase + (refi - phase).div_ceil(row_service) * row_service) % refi;
+            phase = raw.max(rfc);
+        }
+        let mu = seen
+            .iter()
+            .position(|&p| p == phase)
+            .expect("phase was seen");
+        (mu, seen.len() - mu)
+    }
+
+    /// One oracle comparison: the same traffic, then one stream, on a
+    /// batched DIMM and on a row-by-row reference DIMM.
+    struct OracleCase {
+        /// Index into [`oracle_timings`].
+        timing: usize,
+        /// Line accesses issued first.
+        pre: Vec<u64>,
+        /// A stream of this many KiB issued after `pre` (0: none).
+        prior_kib: u64,
+        /// Where the stream is issued: 0 after the prior traffic
+        /// completes, 1 at the prior traffic's issue instant (so it queues
+        /// behind the prior stream's bus `free_at`), 2..=7 so the first
+        /// batch starts at a chosen phase of the next refresh period.
+        start: u64,
+        /// The phase for `start == 7`.
+        phase: u64,
+    }
+
+    impl OracleCase {
+        fn check(&self, addr: u64, bytes: u64, write: bool, closed: bool) {
+            let t = oracle_timings()[self.timing];
+            let config = DimmConfig {
+                timing: t,
+                ..DimmConfig::ddr4_16gb()
+            };
+            let mut fast = Dimm::new(config);
+            let mut slow = Dimm::new(config);
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let policy = if closed {
+                RowPolicy::ClosedRow
+            } else {
+                RowPolicy::OpenPage
+            };
+
+            // Warm both DIMMs with identical traffic so the stream starts
+            // from a non-trivial bus/bank state.
+            let mut now = SimTime::ZERO;
+            for &a in &self.pre {
+                let rf = fast.access(now, a, kind, policy);
+                let rs = slow.access(now, a, kind, policy);
+                assert_eq!(rf, rs);
+                now = rf.complete;
+            }
+            let issued = now;
+            if self.prior_kib > 0 {
+                let prior = self.prior_kib << 10;
+                let rf = fast.stream(now, 8 << 30, prior, kind, policy);
+                let rs = stream_reference(&mut slow, now, 8 << 30, prior, kind, policy);
+                assert_eq!(rf, rs);
+                now = rf.complete;
+            }
+
+            let (refi, rfc) = (t.t_refi.as_ps(), t.t_rfc.as_ps());
+            let now = match self.start {
+                0 => now,
+                1 => issued,
+                _ => {
+                    // The first row occupies the bus for its lead-in and
+                    // bursts; the first batch starts where it ends.
+                    let first_bytes = (config.row_bytes - addr % config.row_bytes).min(bytes);
+                    let first = t.cycles(t.t_rcd + t.cl)
+                        + t.burst_time()
+                            .scaled(first_bytes.div_ceil(config.line_bytes));
+                    let target =
+                        [refi - 1, 0, 1, rfc - 1, rfc, self.phase % refi][self.start as usize - 2];
+                    let next_period = (now.as_ps() / refi + 2) * refi;
+                    SimTime::from_ps(next_period + target - first.as_ps())
+                }
+            };
+            let rf = fast.stream(now, addr, bytes, kind, policy);
+            let rs = stream_reference(&mut slow, now, addr, bytes, kind, policy);
+            assert_eq!(rf, rs);
+            assert_eq!(fast.stats, slow.stats);
+            assert_eq!(fast.bus.free_at(), slow.bus.free_at());
+            assert_eq!(fast.bus.busy_time(), slow.bus.busy_time());
+            assert_eq!(fast.bus.served(), slow.bus.served());
+            for (b, (f, s)) in fast.banks.iter().zip(&slow.banks).enumerate() {
+                assert_eq!(f.open_row, s.open_row, "bank {b} open row");
+                assert_eq!(f.ready_at, s.ready_at, "bank {b} ready");
+            }
+
+            // A follow-up access observes the same world.
+            let f2 = fast.access(rf.complete, addr, kind, policy);
+            let s2 = slow.access(rs.complete, addr, kind, policy);
+            assert_eq!(f2, s2);
+        }
+    }
+
+    #[test]
+    fn ddr4_2400_streams_18_rows_per_period_from_trfc() {
+        let mut d = dimm();
+        let t = d.config.timing;
+        let row_service = t
+            .burst_time()
+            .scaled(d.config.row_bytes / d.config.line_bytes);
+        let (refi, rfc) = (t.t_refi, t.t_rfc);
+        assert_eq!(row_service.as_ps(), 426_752);
+        // From phase tRFC, 18 rows start before the period ends; the last
+        // overruns to phase 231,536 ps, inside the next blackout, which
+        // moves it back to tRFC: a fixed point.
+        let overrun = (rfc + row_service.scaled(18)).as_ps() % refi.as_ps();
+        assert_eq!(overrun, 231_536);
+        assert_eq!(
+            batch_phase_cycle(&t, row_service.as_ps(), rfc.as_ps()),
+            (0, 1)
+        );
+
+        // End to end: issue the first (aligned) row so it ends exactly at
+        // tRFC of period 1; every later period then holds one 18-row batch
+        // starting at its tRFC, and the 17-row tail fits in the last.
+        let periods = 1_000;
+        let lead_in = t.cycles(t.t_rcd + t.cl);
+        let now = SimTime::ZERO + refi + rfc - lead_in - row_service;
+        let rows = 1 + 18 * periods + d.config.banks + 1;
+        let r = d.stream(
+            now,
+            0,
+            rows * d.config.row_bytes,
+            AccessKind::Read,
+            RowPolicy::ClosedRow,
+        );
+        assert_eq!(r.start, now);
+        assert_eq!(
+            r.complete,
+            SimTime::ZERO + refi.scaled(periods + 1) + rfc + row_service.scaled(d.config.banks + 1)
+        );
+        assert_eq!(d.bus_busy_time(), row_service.scaled(rows));
+        assert_eq!(d.stats().activations, rows);
+    }
+
+    #[test]
+    fn oracle_timings_cover_a_long_cycle_and_a_blackout_free_one() {
+        let cfg = DimmConfig::ddr4_16gb();
+        let [_, small_rfc, refi_multiple] = oracle_timings();
+        let service = small_rfc
+            .burst_time()
+            .scaled(cfg.row_bytes / cfg.line_bytes)
+            .as_ps();
+        // The small tRFC returns to its phase only every 11 periods.
+        let rfc = small_rfc.t_rfc.as_ps();
+        assert_eq!(batch_phase_cycle(&small_rfc, service, rfc), (0, 11));
+        // With tREFI = 18 row services the overrun lands exactly on tRFC,
+        // never inside the blackout, and every start phase is a fixed
+        // point after at most one period.
+        let (refi, rfc) = (refi_multiple.t_refi.as_ps(), refi_multiple.t_rfc.as_ps());
+        assert_eq!((rfc + 18 * service) % refi, rfc);
+        for phase in [rfc, rfc + 1, service - 1, 1_234_567, refi - 1] {
+            assert_eq!(batch_phase_cycle(&refi_multiple, service, phase).1, 1);
         }
     }
 
@@ -726,7 +956,8 @@ mod tests {
 
         /// The batched stream is bit-identical to the row-by-row reference:
         /// same reservation, stats, bus calendar, and per-bank state, for
-        /// arbitrary (mis)alignment, size, policy and prior traffic.
+        /// arbitrary (mis)alignment, size, policy, timing, start phase and
+        /// prior traffic.
         #[test]
         fn batched_stream_matches_row_by_row_reference(
             addr_lines in 0u64..(1u64 << 14),
@@ -736,40 +967,37 @@ mod tests {
             write in any::<bool>(),
             closed in any::<bool>(),
             pre in proptest::collection::vec(0u64..(1u64 << 20), 0..6),
+            timing in 0usize..3,
+            start in 0u64..8,
+            phase in 0u64..7_800_000,
+            prior_kib in 0u64..8_192,
         ) {
-            let mut fast = dimm();
-            let mut slow = dimm();
-            let kind = if write { AccessKind::Write } else { AccessKind::Read };
-            let policy = if closed { RowPolicy::ClosedRow } else { RowPolicy::OpenPage };
-
-            // Warm both DIMMs with identical traffic so the stream starts
-            // from a non-trivial bus/bank state.
-            let mut now = SimTime::ZERO;
-            for &a in &pre {
-                let rf = fast.access(now, a, kind, policy);
-                let rs = slow.access(now, a, kind, policy);
-                prop_assert_eq!(rf, rs);
-                now = rf.complete;
-            }
-
             let addr = addr_lines * 64 + misalign;
             let bytes = (kib << 10) + extra_bytes; // up to ~2 MiB, odd tails
-            let rf = fast.stream(now, addr, bytes, kind, policy);
-            let rs = stream_reference(&mut slow, now, addr, bytes, kind, policy);
-            prop_assert_eq!(rf, rs);
-            prop_assert_eq!(fast.stats, slow.stats);
-            prop_assert_eq!(fast.bus.free_at(), slow.bus.free_at());
-            prop_assert_eq!(fast.bus.busy_time(), slow.bus.busy_time());
-            prop_assert_eq!(fast.bus.served(), slow.bus.served());
-            for (b, (f, s)) in fast.banks.iter().zip(&slow.banks).enumerate() {
-                prop_assert_eq!(f.open_row, s.open_row, "bank {} open row", b);
-                prop_assert_eq!(f.ready_at, s.ready_at, "bank {} ready", b);
-            }
+            let case = OracleCase { timing, pre, prior_kib, start, phase };
+            case.check(addr, bytes, write, closed);
+        }
 
-            // A follow-up access observes the same world.
-            let f2 = fast.access(rf.complete, addr, kind, policy);
-            let s2 = slow.access(rs.complete, addr, kind, policy);
-            prop_assert_eq!(f2, s2);
+        /// The same oracle over multi-period and multi-GB streams (up to
+        /// 4 GiB), where whole refresh cycles are skipped.
+        #[test]
+        fn cycle_skip_matches_row_by_row_reference_up_to_4_gib(
+            addr_lines in 0u64..(1u64 << 14),
+            misalign in 0u64..64,
+            extra_bytes in 0u64..16_384,
+            kib in 1u64..2_048,
+            shift in 0u64..12,
+            write in any::<bool>(),
+            closed in any::<bool>(),
+            timing in 0usize..3,
+            start in 0u64..8,
+            phase in 0u64..7_800_000,
+            prior_kib in 0u64..8_192,
+        ) {
+            let addr = addr_lines * 64 + misalign;
+            let bytes = (kib << (10 + shift)) + extra_bytes;
+            let case = OracleCase { timing, pre: Vec::new(), prior_kib, start, phase };
+            case.check(addr, bytes, write, closed);
         }
 
         /// Closed-row policy never produces a row hit.
