@@ -40,6 +40,7 @@ SPEEDUP_BARS = {
     "reach-bench-pr12-v1": 1.5,
     "reach-bench-pr14-v1": 1.15,
     "reach-bench-pr16-v1": 3.0,
+    "reach-bench-pr17-v1": 1.1,
 }
 
 DISK_CACHE_LINE = re.compile(r"(\d+) disk hit\(s\), (\d+) disk miss\(es\)")
@@ -614,6 +615,13 @@ def selftest():
     bad = dict(good_record, schema="reach-bench-pr14-v1",
                after={"wall_s": 0.28}, speedup=1.07)
     rejects(validate_bench, bad, "pr14 speedup below the 1.15x bar")
+
+    validate_bench({"schema": "reach-bench-pr17-v1",
+                    "before": {"wall_s": 0.5}, "after": {"wall_s": 0.4},
+                    "speedup": 1.25})
+    bad = dict(good_record, schema="reach-bench-pr17-v1",
+               after={"wall_s": 0.28}, speedup=1.07)
+    rejects(validate_bench, bad, "pr17 speedup below the 1.1x bar")
 
     good_suite = SUITE_HEADER + "\n  Feature extraction  552 MB\nFIG 8.\n"
     validate_suite([("j1", good_suite), ("j4", good_suite),

@@ -1,8 +1,8 @@
 //! Microbenchmarks of the simulator hot paths: event-queue throughput
 //! (calendar queue), machine steady-state event processing, the parallel
-//! CBIR kernels (GEMM micro-kernel, k-means, product-quantizer training,
-//! top-K), the cross-batch distance cache, and the DDR stream timing
-//! model.
+//! CBIR kernels (GEMM micro-kernel, k-means seeding and Lloyd loop,
+//! product-quantizer training and encode, binary encode, top-K), the
+//! cross-batch distance cache, and the DDR stream timing model.
 //!
 //! Set `REACH_BENCH_QUICK=1` to shrink every problem size (the CI
 //! perf-smoke mode); the full sizes are meant for local before/after
@@ -113,7 +113,6 @@ fn bench_kmeans(c: &mut Criterion) {
     let n = scaled(8192, 1024);
     let d = 32;
     let k = 64;
-    let mut rng = seeded(42);
     let pts = Matrix::from_vec(
         n,
         d,
@@ -122,25 +121,70 @@ fn bench_kmeans(c: &mut Criterion) {
             .collect(),
     );
     g.throughput(Throughput::Elements((n * k * d) as u64));
+    // A fresh stream per iteration: every sample seeds and iterates alike.
     g.bench_function("assign_update_loop", |b| {
-        b.iter(|| black_box(kmeans(&pts, k, 5, &mut rng).inertia));
+        b.iter(|| black_box(kmeans(&pts, k, 5, &mut seeded(42)).inertia));
+    });
+
+    // k-means++ seeding of one `extension-recall` PQ subspace (6000 x 4,
+    // 64 codewords), unscaled in quick mode too. Zero Lloyd iterations
+    // leave the seeding alone (plus the point norms).
+    let ds = recall_dataset();
+    let sub = Matrix::from_vec(
+        6_000,
+        4,
+        (0..6_000)
+            .flat_map(|i| ds.points.row(i)[..4].to_vec())
+            .collect(),
+    );
+    g.throughput(Throughput::Elements(6_000 * 64 * 4));
+    g.bench_function("seed_recall_subspace", |b| {
+        b.iter(|| black_box(kmeans(&sub, 64, 0, &mut seeded(44)).centroids));
     });
     g.finish();
 }
 
-fn bench_pq_train(c: &mut Criterion) {
-    use reach_cbir::{Dataset, ProductQuantizer};
+/// The `extension-recall` dataset shape: 6000 x 32 points in 48 blobs.
+fn recall_dataset() -> reach_cbir::Dataset {
+    reach_cbir::Dataset::gaussian_mixture(6_000, 32, 48, 0.8, &mut seeded(43))
+}
+
+fn bench_pq(c: &mut Criterion) {
+    use reach_cbir::ProductQuantizer;
 
     // The `extension-recall` shape, unscaled in quick mode too: 6000 x 32
     // points, 8 subspaces of 64 codewords, each subspace's Lloyd loop one
-    // work item.
+    // work item. A fresh stream per iteration: every sample trains from
+    // the same seeds for the same number of Lloyd iterations.
     let mut g = c.benchmark_group("hotpath/pq");
     g.sample_size(10);
-    let mut rng = seeded(43);
-    let ds = Dataset::gaussian_mixture(6_000, 32, 48, 0.8, &mut rng);
+    let ds = recall_dataset();
     g.throughput(Throughput::Elements(6_000 * 32));
     g.bench_function("train_recall_shape_8x64", |b| {
-        b.iter(|| black_box(ProductQuantizer::train(&ds.points, 8, 64, &mut rng).code_bytes()));
+        b.iter(|| {
+            black_box(ProductQuantizer::train(&ds.points, 8, 64, &mut seeded(43)).code_bytes())
+        });
+    });
+    // Encoding the whole dataset with that quantizer.
+    let pq = ProductQuantizer::train(&ds.points, 8, 64, &mut seeded(43));
+    g.bench_function("encode_recall_shape_8x64", |b| {
+        b.iter(|| black_box(pq.encode_batch(&ds.points)));
+    });
+    g.finish();
+}
+
+fn bench_binary(c: &mut Criterion) {
+    use reach_cbir::BinaryCoder;
+
+    // The `extension-recall` 256-bit binary codes of the whole dataset,
+    // unscaled in quick mode too.
+    let mut g = c.benchmark_group("hotpath/binary");
+    g.sample_size(10);
+    let ds = recall_dataset();
+    let coder = BinaryCoder::new(32, 256, &mut seeded(45));
+    g.throughput(Throughput::Elements(6_000 * 256));
+    g.bench_function("encode_recall_shape_256", |b| {
+        b.iter(|| black_box(coder.encode_batch(&ds.points)));
     });
     g.finish();
 }
@@ -228,7 +272,8 @@ criterion_group!(
     bench_machine,
     bench_gemm,
     bench_kmeans,
-    bench_pq_train,
+    bench_pq,
+    bench_binary,
     bench_cache,
     bench_dimm_stream,
     bench_topk

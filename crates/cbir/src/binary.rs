@@ -9,7 +9,7 @@
 //! paper's accuracy argument executable — see the `extension-recall`
 //! experiment.
 
-use crate::linalg::Matrix;
+use crate::linalg::{Matrix, Panels, PANEL};
 use crate::topk::top_k;
 use rand::Rng;
 
@@ -27,8 +27,9 @@ use rand::Rng;
 /// ```
 #[derive(Clone, Debug)]
 pub struct BinaryCoder {
-    /// `bits x dim` hyperplane normals.
-    planes: Matrix,
+    /// `bits x dim` hyperplane normals, packed for
+    /// [`encode`](Self::encode).
+    planes: Panels,
 }
 
 /// A binary code: packed 64-bit words.
@@ -47,14 +48,14 @@ impl BinaryCoder {
             .map(|_| rng.gen_range(-1.0f32..1.0))
             .collect();
         BinaryCoder {
-            planes: Matrix::from_vec(bits, dim, data),
+            planes: Panels::pack(&Matrix::from_vec(bits, dim, data)),
         }
     }
 
     /// Number of bits per code.
     #[must_use]
     pub fn bits(&self) -> usize {
-        self.planes.rows()
+        self.planes.columns()
     }
 
     /// Bytes per encoded vector.
@@ -63,20 +64,34 @@ impl BinaryCoder {
         self.bits().div_ceil(8)
     }
 
-    /// Encodes one vector.
+    /// Encodes one vector: bit `b` is set when the dot of hyperplane `b`
+    /// with `x`, added in increasing index order, is `>= 0.0`. The dots
+    /// come eight hyperplanes (one code byte) at a time from
+    /// [`Panels::seq_dots`].
     ///
     /// # Panics
     ///
     /// Panics on a dimension mismatch.
     #[must_use]
     pub fn encode(&self, x: &[f32]) -> BinaryCode {
-        assert_eq!(x.len(), self.planes.cols(), "BinaryCoder::encode: bad size");
-        let mut words = vec![0u64; self.bits().div_ceil(64)];
-        for b in 0..self.bits() {
-            let dot: f32 = self.planes.row(b).iter().zip(x).map(|(p, v)| p * v).sum();
-            if dot >= 0.0 {
-                words[b / 64] |= 1u64 << (b % 64);
-            }
+        assert_eq!(
+            x.len(),
+            self.planes.depth(),
+            "BinaryCoder::encode: bad size"
+        );
+        let bits = self.bits();
+        let mut words = vec![0u64; bits.div_ceil(64)];
+        self.planes.seq_dots(x, |p, dots| {
+            let byte = dots
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (c, &dot)| m | u64::from(dot >= 0.0) << c);
+            words[p * PANEL / 64] |= byte << (p * PANEL % 64);
+        });
+        // The padding hyperplanes of the last panel are all zero: their
+        // dots read as set bits past the end of the code.
+        if !bits.is_multiple_of(64) {
+            *words.last_mut().expect("bits > 0") &= (1u64 << (bits % 64)) - 1;
         }
         words
     }
@@ -121,6 +136,59 @@ mod tests {
     use super::*;
     use crate::dataset::{recall, Dataset};
     use reach_sim::rng::seeded;
+
+    /// The scalar encode the panel version replaced: each bit's dot is a
+    /// serial `.sum()` of the products.
+    fn encode_scalar(planes: &Matrix, x: &[f32]) -> BinaryCode {
+        let mut words = vec![0u64; planes.rows().div_ceil(64)];
+        for b in 0..planes.rows() {
+            let dot: f32 = planes.row(b).iter().zip(x).map(|(p, v)| p * v).sum();
+            if dot >= 0.0 {
+                words[b / 64] |= 1u64 << (b % 64);
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn encode_matches_scalar_encode() {
+        // Bit counts around the word and panel edges, random hyperplanes
+        // and inputs, plus inputs whose dots are exactly +0.0 or -0.0
+        // (zeros, negative zeros, and a constant vector against
+        // hyperplanes whose coordinates cancel in pairs), and NaN.
+        let dim = 6;
+        for bits in [1usize, 7, 63, 64, 65, 300] {
+            let mut rng = seeded(bits as u64);
+            let mut planes = Matrix::zeros(bits, dim);
+            for b in 0..bits {
+                let row: Vec<f32> = if b % 3 == 0 {
+                    let v = rng.gen_range(-1.0f32..1.0);
+                    vec![v, -v, 2.0 * v, -2.0 * v, -0.5, 0.5]
+                } else {
+                    (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+                };
+                planes.row_mut(b).copy_from_slice(&row);
+            }
+            let coder = BinaryCoder {
+                planes: Panels::pack(&planes),
+            };
+            let mut inputs = vec![
+                vec![0.0; dim],
+                vec![-0.0; dim],
+                vec![1.5; dim],
+                vec![-3.0; dim],
+                vec![f32::NAN, 1.0, 1.0, 1.0, 1.0, 1.0],
+            ];
+            inputs.extend((0..8).map(|_| (0..dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect()));
+            for x in &inputs {
+                assert_eq!(
+                    coder.encode(x),
+                    encode_scalar(&planes, x),
+                    "bits {bits}, x {x:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn codes_are_compact_and_deterministic() {

@@ -5,7 +5,7 @@
 //! structure is what IVF indexing exploits, and recall against exact brute
 //! force is measurable at laptop scale.
 
-use crate::linalg::{dist_sq, Matrix};
+use crate::linalg::{Matrix, Panels, PANEL};
 use crate::topk::top_k;
 use rand::Rng;
 use rand_distr_shim::StandardNormalShim;
@@ -109,18 +109,23 @@ impl Dataset {
         (q, origin)
     }
 
-    /// Exact K-nearest-neighbour ground truth by brute force.
+    /// Exact K-nearest-neighbour ground truth by brute force: the points
+    /// are packed once, and each query's squared distances come eight
+    /// points at a time from [`Panels::dists`], each bitwise the scalar
+    /// `dist_sq(query, point)`.
     #[must_use]
     pub fn ground_truth(&self, queries: &Matrix, k: usize) -> Vec<Vec<usize>> {
+        let panels = Panels::pack(&self.points);
+        let mut dists = vec![0.0f32; self.len().div_ceil(PANEL) * PANEL];
         (0..queries.rows())
             .map(|qi| {
-                top_k(
-                    (0..self.len()).map(|i| (dist_sq(queries.row(qi), self.points.row(i)), i)),
-                    k,
-                )
-                .into_iter()
-                .map(|(_, i)| i)
-                .collect()
+                panels.dists(queries.row(qi), |p, d| {
+                    dists[p * PANEL..(p + 1) * PANEL].copy_from_slice(&d);
+                });
+                top_k(dists.iter().copied().zip(0..self.len()), k)
+                    .into_iter()
+                    .map(|(_, i)| i)
+                    .collect()
             })
             .collect()
     }
@@ -138,6 +143,7 @@ pub struct RecallReport {
 }
 
 /// Computes recall@K: `|retrieved ∩ true| / k`, averaged over queries.
+/// A retrieved id counts once however often it repeats.
 ///
 /// # Panics
 ///
@@ -148,10 +154,11 @@ pub fn recall(retrieved: &[Vec<usize>], truth: &[Vec<usize>], k: usize) -> Recal
     assert!(k > 0, "recall: k = 0");
     let mut total = 0.0f64;
     for (r, t) in retrieved.iter().zip(truth) {
+        let (r, t) = (&r[..k.min(r.len())], &t[..k.min(t.len())]);
         let hits = r
             .iter()
-            .take(k)
-            .filter(|i| t[..k.min(t.len())].contains(i))
+            .enumerate()
+            .filter(|&(pos, i)| t.contains(i) && !r[..pos].contains(i))
             .count();
         total += hits as f64 / k as f64;
     }
@@ -165,7 +172,48 @@ pub fn recall(retrieved: &[Vec<usize>], truth: &[Vec<usize>], k: usize) -> Recal
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::dist_sq;
     use reach_sim::rng::seeded;
+
+    /// The scalar ground truth the panel version replaced: one `dist_sq`
+    /// per query and point.
+    fn ground_truth_scalar(ds: &Dataset, queries: &Matrix, k: usize) -> Vec<Vec<usize>> {
+        (0..queries.rows())
+            .map(|qi| {
+                top_k(
+                    (0..ds.len()).map(|i| (dist_sq(queries.row(qi), ds.points.row(i)), i)),
+                    k,
+                )
+                .into_iter()
+                .map(|(_, i)| i)
+                .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ground_truth_matches_the_scalar_scan() {
+        // Point counts on and off a panel boundary, k below and above the
+        // point count, and a set with every point duplicated (all ties,
+        // settled by index) plus queries placed exactly on points and at
+        // the origin (where the zero padding of the packed points would
+        // be nearest if it were ever ranked).
+        for (n, d, k, seed) in [(1, 3, 1, 1), (8, 5, 3, 2), (203, 32, 10, 3), (64, 7, 80, 4)] {
+            let mut rng = seeded(seed);
+            let mut ds = Dataset::gaussian_mixture(n, d, 3, 0.8, &mut rng);
+            let (queries, _) = ds.queries(9, 0.2, &mut rng);
+            assert_eq!(
+                ds.ground_truth(&queries, k),
+                ground_truth_scalar(&ds, &queries, k)
+            );
+            let twice = [ds.points.as_slice(), ds.points.as_slice()].concat();
+            ds.points = Matrix::from_vec(2 * n, d, twice);
+            let on_points = Matrix::from_vec(n, d, ds.points.as_slice()[..n * d].to_vec());
+            for q in [&queries, &on_points, &Matrix::zeros(2, d)] {
+                assert_eq!(ds.ground_truth(q, k), ground_truth_scalar(&ds, q, k));
+            }
+        }
+    }
 
     #[test]
     fn mixture_has_cluster_structure() {
@@ -206,6 +254,9 @@ mod tests {
         assert_eq!(miss.recall_at_k, 0.0);
         let half = recall(&[vec![1, 9, 9], vec![4, 5, 9]], &truth, 3);
         assert!((half.recall_at_k - 0.5).abs() < 1e-12);
+        // A repeated id is one hit, not three.
+        let repeated = recall(&[vec![1, 1, 1]], &[vec![1, 2, 3]], 3);
+        assert!((repeated.recall_at_k - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -77,24 +77,31 @@ pub fn kmeans_each_jobs(
 }
 
 /// k-means++ seeding: the `k x d` initial centroids.
+///
+/// The points are packed once into [`Panels`], and each new centroid's
+/// squared distances come from [`Panels::dists`], eight points side by
+/// side, each bitwise the scalar `dist_sq(point, centroid)`.
 fn seed(points: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
     let n = points.rows();
     let d = points.cols();
     assert!(k > 0 && k <= n, "kmeans: k={k} out of range for {n} points");
+    let panels = Panels::pack(points);
     let mut centroids = Matrix::zeros(k, d);
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(points.row(first));
-    let mut d2: Vec<f32> = (0..n)
-        .map(|i| dist_sq(points.row(i), centroids.row(0)))
-        .collect();
+    // Padded to whole panels; the padding entries are never read.
+    let mut d2 = vec![0.0f32; n.div_ceil(PANEL) * PANEL];
+    panels.dists(points.row(first), |p, d| {
+        d2[p * PANEL..(p + 1) * PANEL].copy_from_slice(&d);
+    });
     for c in 1..k {
-        let total: f64 = d2.iter().map(|&x| f64::from(x)).sum();
+        let total: f64 = d2[..n].iter().map(|&x| f64::from(x)).sum();
         let chosen = if total <= f64::EPSILON {
             rng.gen_range(0..n)
         } else {
             let mut target = rng.gen_range(0.0..total);
             let mut pick = n - 1;
-            for (i, &x) in d2.iter().enumerate() {
+            for (i, &x) in d2[..n].iter().enumerate() {
                 target -= f64::from(x);
                 if target <= 0.0 {
                     pick = i;
@@ -105,18 +112,82 @@ fn seed(points: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
         };
         let chosen = points.row(chosen);
         centroids.row_mut(c).copy_from_slice(chosen);
-        for (i, best) in d2.iter_mut().enumerate() {
-            let nd = dist_sq(points.row(i), chosen);
-            *best = if nd < *best { nd } else { *best };
-        }
+        panels.dists(chosen, |p, nd| {
+            for (best, nd) in d2[p * PANEL..(p + 1) * PANEL].iter_mut().zip(nd) {
+                *best = if nd < *best { nd } else { *best };
+            }
+        });
     }
     centroids
 }
 
-/// The nearest centroid of every point and its decomposed distance
-/// `||p||^2 + ||c||^2 - 2<p, c>`, one point at a time through every
-/// centroid panel.
+/// Decomposed distances `||p||^2 + ||c||^2 - 2<p, c>` of one point to a
+/// panel of centroids. Padding columns carry a NaN norm, so their
+/// distance is NaN and never wins the argmin.
+#[inline(always)]
+fn decomposed(p_norm: f32, c_norms: &[f32], dots: [f32; PANEL]) -> [f32; PANEL] {
+    let mut d = [0.0f32; PANEL];
+    for ((d, &cn), dot) in d.iter_mut().zip(c_norms).zip(dots) {
+        *d = p_norm + cn - 2.0 * dot;
+    }
+    d
+}
+
+/// The nearest centroid of every point and its decomposed distance.
+/// Points of up to eight dimensions run the fused [`assign_small`];
+/// wider ones the general [`assign_general`]. Both produce the same
+/// bits for the same inputs.
 fn assign(
+    points: &Matrix,
+    p_norms: &[f32],
+    panels: &Panels,
+    c_norms: &[f32],
+    assignments: &mut [usize],
+    best_dists: &mut [f32],
+) {
+    let kernel = match points.cols() {
+        1 => assign_small::<1>,
+        2 => assign_small::<2>,
+        3 => assign_small::<3>,
+        4 => assign_small::<4>,
+        5 => assign_small::<5>,
+        6 => assign_small::<6>,
+        7 => assign_small::<7>,
+        8 => assign_small::<8>,
+        _ => assign_general,
+    };
+    kernel(points, p_norms, panels, c_norms, assignments, best_dists);
+}
+
+/// [`assign`] for `D`-dimensional points, `D <= 8`: each centroid panel's
+/// dots ([`Panels::small_dots`]), the decomposed distances and the running
+/// argmin stay in registers, with no dots buffer in between.
+fn assign_small<const D: usize>(
+    points: &Matrix,
+    p_norms: &[f32],
+    panels: &Panels,
+    c_norms: &[f32],
+    assignments: &mut [usize],
+    best_dists: &mut [f32],
+) {
+    for (i, (slot, dist)) in assignments
+        .iter_mut()
+        .zip(best_dists.iter_mut())
+        .enumerate()
+    {
+        let x: &[f32; D] = points.row(i).try_into().expect("a D-column row");
+        let p_norm = p_norms[i];
+        let mut argmin = ArgMin::new();
+        for (cn, dots) in c_norms.chunks_exact(PANEL).zip(panels.small_dots(x)) {
+            argmin = argmin.push(decomposed(p_norm, cn, dots));
+        }
+        (*slot, *dist) = argmin.finish();
+    }
+}
+
+/// [`assign`] for points of any dimension, one point at a time through
+/// every centroid panel of [`Panels::row_dots`].
+fn assign_general(
     points: &Matrix,
     p_norms: &[f32],
     panels: &Panels,
@@ -134,11 +205,8 @@ fn assign(
         let p_norm = p_norms[i];
         let mut argmin = ArgMin::new();
         for (dots, cn) in dots.chunks_exact(PANEL).zip(c_norms.chunks_exact(PANEL)) {
-            let mut d = [0.0f32; PANEL];
-            for c in 0..PANEL {
-                d[c] = p_norm + cn[c] - 2.0 * dots[c];
-            }
-            argmin = argmin.push(d);
+            let dots = dots.try_into().expect("whole panel");
+            argmin = argmin.push(decomposed(p_norm, cn, dots));
         }
         (*slot, *dist) = argmin.finish();
     }
@@ -241,7 +309,138 @@ fn lloyd(points: &Matrix, mut centroids: Matrix, max_iters: usize) -> Clustering
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::tests::{adversarial, bits};
+    use proptest::prelude::*;
+    use rand::RngCore;
     use reach_sim::rng::seeded;
+
+    /// The scalar k-means++ seeding the panel version replaced: one
+    /// `dist_sq` per point and centroid.
+    fn seed_scalar(points: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
+        let n = points.rows();
+        let mut centroids = Matrix::zeros(k, points.cols());
+        let first = rng.gen_range(0..n);
+        centroids.row_mut(0).copy_from_slice(points.row(first));
+        let mut d2: Vec<f32> = (0..n)
+            .map(|i| dist_sq(points.row(i), centroids.row(0)))
+            .collect();
+        for c in 1..k {
+            let total: f64 = d2.iter().map(|&x| f64::from(x)).sum();
+            let chosen = if total <= f64::EPSILON {
+                rng.gen_range(0..n)
+            } else {
+                let mut target = rng.gen_range(0.0..total);
+                let mut pick = n - 1;
+                for (i, &x) in d2.iter().enumerate() {
+                    target -= f64::from(x);
+                    if target <= 0.0 {
+                        pick = i;
+                        break;
+                    }
+                }
+                pick
+            };
+            let chosen = points.row(chosen);
+            centroids.row_mut(c).copy_from_slice(chosen);
+            for (i, best) in d2.iter_mut().enumerate() {
+                let nd = dist_sq(points.row(i), chosen);
+                *best = if nd < *best { nd } else { *best };
+            }
+        }
+        centroids
+    }
+
+    /// `n x d` seeding inputs of one of four shapes: continuous values,
+    /// a coarse grid (duplicate rows and tied distances), one point
+    /// repeated (every distance zero, so every draw after the first takes
+    /// the `total <= EPSILON` branch), and three distinct rows repeated
+    /// (the branch fires once they are all chosen).
+    fn seeding_points(n: usize, d: usize, shape: usize, salt: u64) -> Matrix {
+        let mut rng = seeded(salt);
+        let distinct: Vec<Vec<f32>> = (0..3)
+            .map(|_| (0..d).map(|_| rng.gen_range(-5.0f32..5.0)).collect())
+            .collect();
+        let data = (0..n)
+            .flat_map(|i| match shape {
+                0 => (0..d).map(|_| rng.gen_range(-5.0f32..5.0)).collect(),
+                1 => (0..d)
+                    .map(|_| f32::from(rng.gen_range(0u8..3)) - 1.0)
+                    .collect(),
+                2 => distinct[0].clone(),
+                _ => distinct[i % 3].clone(),
+            })
+            .collect();
+        Matrix::from_vec(n, d, data)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Panel seeding against the scalar seeding: the same centroid
+        /// bits, and the same random stream left behind (the next draw).
+        #[test]
+        fn seeding_matches_scalar_seeding_bitwise(
+            d in 1usize..41,
+            k in 1usize..71,
+            extra in 0usize..40,
+            shape in 0usize..4,
+            salt in 0u64..1000,
+        ) {
+            let points = seeding_points(k + extra, d, shape, salt);
+            let (mut fast_rng, mut scalar_rng) = (seeded(salt + 1), seeded(salt + 1));
+            let fast = seed(&points, k, &mut fast_rng);
+            let scalar = seed_scalar(&points, k, &mut scalar_rng);
+            prop_assert_eq!(bits(fast.as_slice()), bits(scalar.as_slice()));
+            prop_assert_eq!(fast_rng.next_u64(), scalar_rng.next_u64());
+        }
+
+        /// The dispatched assignment (the fused small-`d` kernel for
+        /// `d <= 8`) against the general `row_dots` path, assignment and
+        /// distance bits, for `d` from 1 to 9 over NaN, signed zeros, ties
+        /// and infinities, and full and padded centroid panels.
+        #[test]
+        fn assignment_matches_the_general_path_bitwise(
+            d in 1usize..10,
+            k in 1usize..70,
+            n in 1usize..40,
+            salt in 0usize..1000,
+        ) {
+            let points = Matrix::from_vec(n, d, adversarial(n * d, salt));
+            let centroids = Matrix::from_vec(k, d, adversarial(k * d, salt + 3));
+            let p_norms: Vec<f32> = (0..n).map(|i| norm_sq(points.row(i))).collect();
+            let mut c_norms = vec![f32::NAN; k.div_ceil(PANEL) * PANEL];
+            for (c, cn) in c_norms.iter_mut().take(k).enumerate() {
+                *cn = norm_sq(centroids.row(c));
+            }
+            let panels = Panels::pack(&centroids);
+            let (mut got, mut got_d) = (vec![0; n], vec![0.0; n]);
+            assign(&points, &p_norms, &panels, &c_norms, &mut got, &mut got_d);
+            let (mut want, mut want_d) = (vec![0; n], vec![0.0; n]);
+            assign_general(&points, &p_norms, &panels, &c_norms, &mut want, &mut want_d);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(bits(&got_d), bits(&want_d));
+        }
+    }
+
+    #[test]
+    fn assignment_of_tied_centroids_takes_the_first() {
+        // Duplicate centroids in different panels and lanes: every point
+        // is equally near each copy, and the lowest index wins on both
+        // paths.
+        for d in 1..=9 {
+            let row: Vec<f32> = (0..d).map(|t| t as f32 - 1.5).collect();
+            let centroids = Matrix::from_vec(20, d, row.repeat(20));
+            let points = Matrix::from_vec(2, d, [row.clone(), vec![0.25; d]].concat());
+            let p_norms: Vec<f32> = (0..2).map(|i| norm_sq(points.row(i))).collect();
+            let mut c_norms = vec![f32::NAN; 24];
+            c_norms[..20].fill(norm_sq(&row));
+            let panels = Panels::pack(&centroids);
+            let (mut got, mut got_d) = (vec![9; 2], vec![0.0; 2]);
+            assign(&points, &p_norms, &panels, &c_norms, &mut got, &mut got_d);
+            assert_eq!(got, [0, 0], "d {d}");
+            assert_eq!(got_d[0], 0.0, "d {d}: self distance");
+        }
+    }
 
     /// Three well-separated blobs in 2D.
     fn blobs() -> Matrix {

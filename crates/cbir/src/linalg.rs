@@ -158,6 +158,10 @@ const LANES: usize = 8;
 /// Output columns per packed panel of `B^T`.
 pub(crate) const PANEL: usize = 8;
 
+/// Panels the sequential kernels fold at once, so that the independent
+/// add chains of neighbouring panels overlap.
+const FOLD_BLOCK: usize = 4;
+
 /// Folds an 8-lane accumulator with a fixed reduction tree. Every kernel
 /// in this module reduces through this one function, so any two paths
 /// that accumulate the same lanes agree bit-for-bit. It is generic so the
@@ -207,6 +211,15 @@ pub(crate) fn dot8(a: &[f32], b: &[f32]) -> f32 {
 /// (the eight `B` rows' values at index `t` are contiguous), the last
 /// panel zero-padded. A whole panel is one contiguous `8 x k` block that
 /// every `A` row streams through.
+///
+/// Every codec scan runs on this one layout: the GEMM and the k-means
+/// assignment (decomposed distances in [`dot8`] order), and the k-means++
+/// seeding, product-quantizer encode and binary encode (the sequential
+/// kernels [`dists`](Self::dists) and [`seq_dots`](Self::seq_dots)). Each
+/// computes a panel's eight outputs side by side while every output keeps
+/// its own scalar operation order, so the outputs are those of the scalar
+/// routine, bit for bit, and the eight-wide loop vectorizes.
+#[derive(Clone, Debug)]
 pub(crate) struct Panels {
     n: usize,
     k: usize,
@@ -226,6 +239,150 @@ impl Panels {
             }
         }
         Panels { n: b.rows, k, data }
+    }
+
+    /// Number of packed columns (the rows of the packed matrix).
+    pub(crate) fn columns(&self) -> usize {
+        self.n
+    }
+
+    /// Length of each packed column (the columns of the packed matrix).
+    pub(crate) fn depth(&self) -> usize {
+        self.k
+    }
+
+    /// For each panel in order, `sink(p, sums)` with the eight sums over
+    /// `t` of `term(B_j[t], y[t])`, each added in increasing `t` from
+    /// `+0.0` (padding columns included). Per column that is a sequential
+    /// scalar fold; the eight folds of a panel run side by side, and
+    /// [`FOLD_BLOCK`] panels run interleaved so that their add chains
+    /// overlap.
+    #[inline(always)]
+    fn fold_seq(
+        &self,
+        y: &[f32],
+        term: impl Fn(f32, f32) -> f32,
+        mut sink: impl FnMut(usize, [f32; PANEL]),
+    ) {
+        assert_eq!(y.len(), self.k, "Panels: inner dimension mismatch");
+        let panels = self.n.div_ceil(PANEL);
+        let blocked = panels / FOLD_BLOCK * FOLD_BLOCK;
+        for p0 in (0..blocked).step_by(FOLD_BLOCK) {
+            let sums = self.fold_block::<FOLD_BLOCK>(p0, y, &term);
+            for (g, sums) in sums.into_iter().enumerate() {
+                sink(p0 + g, sums);
+            }
+        }
+        for p in blocked..panels {
+            let [sums] = self.fold_block::<1>(p, y, &term);
+            sink(p, sums);
+        }
+    }
+
+    /// [`fold_seq`](Self::fold_seq) of panels `p0..p0 + G`.
+    #[inline(always)]
+    fn fold_block<const G: usize>(
+        &self,
+        p0: usize,
+        y: &[f32],
+        term: &impl Fn(f32, f32) -> f32,
+    ) -> [[f32; PANEL]; G] {
+        let len = PANEL * self.k;
+        let panels: [&[f32]; G] =
+            std::array::from_fn(|g| &self.data[(p0 + g) * len..(p0 + g + 1) * len]);
+        let mut acc = [[0.0f32; PANEL]; G];
+        // `take` tells the optimizer `t < k`: no bounds checks in the loop.
+        for (t, &yt) in y.iter().enumerate().take(self.k) {
+            for (acc, panel) in acc.iter_mut().zip(panels) {
+                let col = &panel[t * PANEL..(t + 1) * PANEL];
+                for (sum, &x) in acc.iter_mut().zip(col) {
+                    *sum += term(x, yt);
+                }
+            }
+        }
+        acc
+    }
+
+    /// [`dist_sq`]`(B_j, y)` of every column, handed to `sink` one panel
+    /// at a time, in order.
+    ///
+    /// Bitwise `dist_sq` for `k >= 1`: both add the squares in increasing
+    /// `t`, and every square is `+0.0` or more (or NaN), so starting from
+    /// `+0.0` rather than `Sum`'s `-0.0` changes no bit. Callers that want
+    /// `dist_sq(y, B_j)` get the same bits too: IEEE negation is exact and
+    /// the square drops the sign; only a NaN-against-NaN payload could tell
+    /// the two apart, and no caller reads a NaN's payload.
+    #[inline]
+    pub(crate) fn dists(&self, y: &[f32], sink: impl FnMut(usize, [f32; PANEL])) {
+        self.fold_seq(
+            y,
+            |x, y| {
+                let d = x - y;
+                d * d
+            },
+            sink,
+        );
+    }
+
+    /// `sum_t B_j[t] * y[t]` of every column, added in increasing `t`,
+    /// handed to `sink` one panel at a time, in order: the scalar `.sum()`
+    /// of the products, up to the sign of a zero result (`Sum` starts from
+    /// `-0.0`, this from `+0.0`), which the `>= 0.0` sign test of a binary
+    /// code cannot see.
+    #[inline]
+    pub(crate) fn seq_dots(&self, y: &[f32], sink: impl FnMut(usize, [f32; PANEL])) {
+        self.fold_seq(y, |x, y| x * y, sink);
+    }
+
+    /// The first column index of the smallest [`dists`](Self::dists)
+    /// entry, by the strict-`<` scan from `(0, +inf)`: NaN never wins, and
+    /// a column set with nothing below `+inf` gives `0`. Padding columns
+    /// are masked to NaN, so they never win either.
+    pub(crate) fn nearest(&self, y: &[f32]) -> usize {
+        let mut argmin = ArgMin::new();
+        self.dists(y, |p, mut d| {
+            for pad in d.iter_mut().skip(self.n - p * PANEL) {
+                *pad = f32::NAN;
+            }
+            argmin = argmin.push(d);
+        });
+        argmin.finish().0
+    }
+
+    /// `<x, B_j>` of every column when `k = D <= 8`, one panel at a time,
+    /// in [`dot8`]'s order: lane `t` holds the one product
+    /// `+0.0 + x[t] * B_j[t]`, the other lanes `+0.0`, and the lanes fold
+    /// through [`reduce`]'s tree. For `D <= 4` lanes `4..8` are all
+    /// `+0.0`, and adding `+0.0` to a lane that starts at `+0.0` (so is
+    /// never `-0.0`) returns that lane unchanged, so the tree's first level
+    /// is skipped. Bitwise [`row_dots`](Self::row_dots), with the dimension
+    /// a constant and each column's tree written out, which is the shape
+    /// the compiler vectorizes across the eight columns.
+    #[inline(always)]
+    pub(crate) fn small_dots<'a, const D: usize>(
+        &'a self,
+        x: &'a [f32; D],
+    ) -> impl Iterator<Item = [f32; PANEL]> + 'a {
+        const { assert!(D >= 1 && D <= LANES, "small_dots: one product per lane") };
+        assert_eq!(self.k, D, "Panels::small_dots: inner dimension mismatch");
+        self.data.chunks_exact(PANEL * D).map(move |panel| {
+            let mut dots = [0.0f32; PANEL];
+            for (c, dot) in dots.iter_mut().enumerate() {
+                let lane = |t: usize| {
+                    if t < D {
+                        0.0 + x[t] * panel[t * PANEL + c]
+                    } else {
+                        0.0
+                    }
+                };
+                *dot = if D <= LANES / 2 {
+                    (lane(0) + lane(2)) + (lane(1) + lane(3))
+                } else {
+                    reduce(std::array::from_fn(lane))
+                };
+            }
+            dots
+        })
     }
 
     /// `<a, B_j>` for every column `j` of every panel, into `out`
@@ -420,7 +577,7 @@ pub fn batch_dist_sq(queries: &Matrix, points: &Matrix) -> Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -530,7 +687,7 @@ mod tests {
     /// in flight bit-identical: when two NaNs with different payloads meet,
     /// hardware keeps the first source operand's payload, and the compiler
     /// commutes float ops freely, so that order is not ours to pin.
-    fn canonical_nan() -> f32 {
+    pub(crate) fn canonical_nan() -> f32 {
         #[cfg(target_arch = "x86_64")]
         return f32::from_bits(0xffc0_0000); // x86 "real indefinite"
         #[cfg(not(target_arch = "x86_64"))]
@@ -559,7 +716,7 @@ mod tests {
 
     /// Cycles the payload pool with a salted stride so NaNs and
     /// infinities land against every value class.
-    fn adversarial(len: usize, salt: usize) -> Vec<f32> {
+    pub(crate) fn adversarial(len: usize, salt: usize) -> Vec<f32> {
         let pool = payload_pool();
         (0..len)
             .map(|i| pool[i.wrapping_mul(7).wrapping_add(salt) % pool.len()])
@@ -586,7 +743,7 @@ mod tests {
         (q[0] + q[2]) + (q[1] + q[3])
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
+    pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
@@ -824,6 +981,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The sequential panel kernels against their scalar routines, bit
+        /// for bit, on every panel position (full and padded panels, and
+        /// panels inside and after the interleaved blocks) and every `k`
+        /// from 1, over adversarial payloads and over finite values whose
+        /// rounding depends on the order of the adds: `dists` is `dist_sq`
+        /// in either operand order, and `seq_dots` is the scalar `.sum()`
+        /// of the products up to the sign of a zero.
+        #[test]
+        fn sequential_panel_kernels_match_scalar_bitwise(
+            n in 1usize..60,
+            k in 1usize..40,
+            salt in 0usize..1000,
+            finite in any::<bool>(),
+        ) {
+            let values = |len: usize, salt: usize| -> Vec<f32> {
+                if finite {
+                    let mut rng = reach_sim::rng::seeded(salt as u64);
+                    (0..len).map(|_| rand::Rng::gen_range(&mut rng, -100.0f32..100.0)).collect()
+                } else {
+                    adversarial(len, salt)
+                }
+            };
+            let b = Matrix::from_vec(n, k, values(n * k, salt));
+            let y = values(k, salt + 5);
+            let panels = Panels::pack(&b);
+            let (mut dists, mut dots) = (Vec::new(), Vec::new());
+            panels.dists(&y, |p, d| {
+                assert_eq!(p * PANEL, dists.len());
+                dists.extend(d);
+            });
+            panels.seq_dots(&y, |_, d| dots.extend(d));
+            prop_assert_eq!(dists.len(), n.div_ceil(PANEL) * PANEL);
+            for j in 0..n {
+                let want = dist_sq(b.row(j), &y);
+                prop_assert_eq!(dists[j].to_bits(), want.to_bits(), "dists col {}", j);
+                prop_assert_eq!(dist_sq(&y, b.row(j)).to_bits(), want.to_bits());
+                let sum: f32 = b.row(j).iter().zip(&y).map(|(p, v)| p * v).sum();
+                let same = dots[j].to_bits() == sum.to_bits()
+                    || (dots[j] == 0.0 && sum == 0.0);
+                prop_assert!(same, "seq_dots col {}: {} vs {}", j, dots[j], sum);
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_never_picks_a_padding_column() {
+        // Three codewords far from the origin: the zero padding columns of
+        // their panel sit at distance 0 from a zero query and must lose.
+        let b = Matrix::from_vec(3, 2, vec![5.0, 5.0, -4.0, 3.0, 9.0, 0.0]);
+        let panels = Panels::pack(&b);
+        assert_eq!(panels.nearest(&[0.0, 0.0]), 1);
+        // Nothing below +inf: index 0, as the scalar scan.
+        let nan = Matrix::from_vec(3, 2, vec![f32::NAN; 6]);
+        assert_eq!(Panels::pack(&nan).nearest(&[0.0, 0.0]), 0);
     }
 
     /// The sequential scan [`ArgMin`] must reproduce: strict `<` from

@@ -13,7 +13,7 @@
 //! exact pipeline handles losslessly.
 
 use crate::kmeans::kmeans_each_jobs;
-use crate::linalg::Matrix;
+use crate::linalg::{Matrix, Panels};
 use crate::topk::top_k;
 use rand::Rng;
 
@@ -36,6 +36,8 @@ pub struct ProductQuantizer {
     sub_dim: usize,
     /// One codebook per subspace, each `centroids x sub_dim`.
     codebooks: Vec<Matrix>,
+    /// The codebooks packed for [`encode`](Self::encode).
+    packed: Vec<Panels>,
 }
 
 impl ProductQuantizer {
@@ -76,7 +78,16 @@ impl ProductQuantizer {
             .into_iter()
             .map(|c| c.centroids)
             .collect();
-        ProductQuantizer { sub_dim, codebooks }
+        Self::from_codebooks(sub_dim, codebooks)
+    }
+
+    fn from_codebooks(sub_dim: usize, codebooks: Vec<Matrix>) -> Self {
+        let packed = codebooks.iter().map(Panels::pack).collect();
+        ProductQuantizer {
+            sub_dim,
+            codebooks,
+            packed,
+        }
     }
 
     /// Number of subspaces.
@@ -97,7 +108,9 @@ impl ProductQuantizer {
         self.codebooks.len()
     }
 
-    /// Encodes one vector into its per-subspace codeword indices.
+    /// Encodes one vector into its per-subspace codeword indices: the
+    /// first codeword at the smallest squared distance, eight codewords
+    /// at a time ([`Panels::nearest`]).
     ///
     /// # Panics
     ///
@@ -109,22 +122,10 @@ impl ProductQuantizer {
             self.sub_dim * self.codebooks.len(),
             "ProductQuantizer::encode: bad input size"
         );
-        self.codebooks
+        self.packed
             .iter()
             .enumerate()
-            .map(|(s, book)| {
-                let sub = &x[s * self.sub_dim..(s + 1) * self.sub_dim];
-                let mut best = 0usize;
-                let mut best_d = f32::INFINITY;
-                for c in 0..book.rows() {
-                    let d = crate::linalg::dist_sq(sub, book.row(c));
-                    if d < best_d {
-                        best = c;
-                        best_d = d;
-                    }
-                }
-                best as u8
-            })
+            .map(|(s, book)| book.nearest(&x[s * self.sub_dim..(s + 1) * self.sub_dim]) as u8)
             .collect()
     }
 
@@ -238,7 +239,79 @@ mod tests {
     use super::*;
     use crate::dataset::{recall, Dataset};
     use crate::ivf::IvfIndex;
+    use crate::linalg::tests::canonical_nan;
+    use proptest::prelude::*;
     use reach_sim::rng::seeded;
+
+    /// The scalar encode the panel version replaced: one `dist_sq` per
+    /// codeword, the first strict minimum from `(0, +inf)`.
+    fn encode_scalar(pq: &ProductQuantizer, x: &[f32]) -> Vec<u8> {
+        pq.codebooks
+            .iter()
+            .enumerate()
+            .map(|(s, book)| {
+                let sub = &x[s * pq.sub_dim..(s + 1) * pq.sub_dim];
+                let mut best = 0usize;
+                let mut best_d = f32::INFINITY;
+                for c in 0..book.rows() {
+                    let d = crate::linalg::dist_sq(sub, book.row(c));
+                    if d < best_d {
+                        best = c;
+                        best_d = d;
+                    }
+                }
+                best as u8
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Panel encode against the scalar encode for 1 to 70 codewords
+        /// (full and padded panels) drawn from a pool with NaN, signed
+        /// zeros, infinities and repeated values (tied distances), and
+        /// inputs from the same pool.
+        #[test]
+        fn encode_matches_scalar_encode(
+            codewords in 1usize..71,
+            sub_dim in 1usize..9,
+            subspaces in 1usize..4,
+            salt in 0usize..1000,
+        ) {
+            let pool = [
+                canonical_nan(), -0.0, 0.0, 1.0, 1.0, -2.0, 2.0, 3.5,
+                f32::INFINITY, f32::NEG_INFINITY, 0.5, -0.5,
+            ];
+            let pick = |i: usize| pool[i.wrapping_mul(2_654_435_761).wrapping_add(salt) % 97 % pool.len()];
+            let books = (0..subspaces)
+                .map(|s| {
+                    let data = (0..codewords * sub_dim).map(|i| pick(i + 1000 * s)).collect();
+                    Matrix::from_vec(codewords, sub_dim, data)
+                })
+                .collect();
+            let pq = ProductQuantizer::from_codebooks(sub_dim, books);
+            for q in 0..8 {
+                let x: Vec<f32> = (0..subspaces * sub_dim).map(|i| pick(i * 31 + q * 7 + 5000)).collect();
+                prop_assert_eq!(pq.encode(&x), encode_scalar(&pq, &x), "input {:?}", x);
+            }
+        }
+    }
+
+    #[test]
+    fn encode_never_picks_padding_and_breaks_ties_by_index() {
+        // Three codewords far from the origin and a zero input: the zero
+        // padding of the panel would be nearest if it could win.
+        let book = Matrix::from_vec(3, 2, vec![5.0, 5.0, -4.0, 3.0, 9.0, 0.0]);
+        let pq = ProductQuantizer::from_codebooks(2, vec![book]);
+        assert_eq!(pq.encode(&[0.0, 0.0]), [1]);
+        // Nine equal codewords across two panels: the first one wins.
+        let tied = Matrix::from_vec(9, 2, [1.0, 1.0].repeat(9));
+        let pq = ProductQuantizer::from_codebooks(2, vec![tied]);
+        assert_eq!(pq.encode(&[0.0, 3.0]), [0]);
+        // Nothing below +inf: codeword 0, as the scalar scan.
+        assert_eq!(pq.encode(&[f32::NAN, 0.0]), [0]);
+    }
 
     fn setup() -> (Dataset, Matrix, Vec<Vec<usize>>) {
         let mut rng = seeded(41);
